@@ -88,7 +88,6 @@ def _minimal_scenario() -> dict:
         "name": "placeholder",
         "seed": 0,
         "mode": "smoke",
-        "cache_shards": 1,
         "duration_s": 0.0,
         "users": 0,
         "trace": {

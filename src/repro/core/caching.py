@@ -50,9 +50,9 @@ class ContentionLock:
     (entries that found the lock taken), and ``wait_s`` (wall seconds
     spent blocked).  The fast path is one extra non-blocking ``acquire``
     attempt, so an uncontended cache pays almost nothing for the
-    profile.  :meth:`TTLCache.lock_stats` exposes the numbers; the
-    sharded cache front aggregates them per shard to show that
-    consistent-hash sharding actually spreads lock pressure.
+    profile.  :meth:`TTLCache.lock_stats` exposes the numbers; the load
+    harness records them per scenario to show whether the one cache
+    lock is ever contended.
     """
 
     __slots__ = ("_lock", "acquisitions", "contended", "wait_s")
@@ -299,8 +299,7 @@ class TTLCache:
     """
 
     def __init__(self, clock: SimClock, default_ttl: float = 60.0, max_entries: int = 10_000,
-                 registry: Optional[MetricsRegistry] = None, coalesce: bool = True,
-                 shard: Optional[str] = None):
+                 registry: Optional[MetricsRegistry] = None, coalesce: bool = True):
         if default_ttl <= 0:
             raise ValueError("default_ttl must be positive")
         self.clock = clock
@@ -309,9 +308,6 @@ class TTLCache:
         #: single-flight coalescing switch (off reproduces the historic
         #: every-thread-computes behaviour, for A/B benchmarks)
         self.coalesce = coalesce
-        #: shard label when this cache is one shard of a
-        #: :class:`~repro.core.sharding.ShardedCache`; None standalone
-        self.shard = shard
         self._entries: Dict[str, CacheEntry] = {}
         #: write counter stamped onto every stored entry (under the lock),
         #: so (key, generation) uniquely names one stored value
@@ -375,34 +371,16 @@ class TTLCache:
         #: are served without enqueuing a refresh (counted ``paused``);
         #: the dashboard wires ``admission.tier == "normal"``
         self.refresh_gate: Optional[Callable[[], bool]] = None
-        if shard is None:
-            self._inflight_gauge = self.metrics.gauge(
-                "repro_cache_inflight_keys",
-                "Keys with a single-flight compute currently running.",
-            )
-            self._inflight_gauge.set(0.0)
-            self._entries_gauge = self.metrics.gauge(
-                "repro_cache_entries",
-                "Live entries in the server-side TTL cache.",
-            )
-            self._entries_gauge.set(0.0)
-        else:
-            # one shard of a ShardedCache: per-shard labeled gauges, so
-            # N shards sharing one registry never clobber each other;
-            # the sharded front reconciles the classic unlabeled
-            # families at scrape time
-            self._inflight_gauge = self.metrics.gauge(
-                "repro_cache_shard_inflight_keys",
-                "Keys with a compute in flight, per cache shard.",
-                ("shard",),
-            )
-            self._inflight_gauge.set(0.0, shard=shard)
-            self._entries_gauge = self.metrics.gauge(
-                "repro_cache_shard_entries",
-                "Live entries per cache shard.",
-                ("shard",),
-            )
-            self._entries_gauge.set(0.0, shard=shard)
+        self._inflight_gauge = self.metrics.gauge(
+            "repro_cache_inflight_keys",
+            "Keys with a single-flight compute currently running.",
+        )
+        self._inflight_gauge.set(0.0)
+        self._entries_gauge = self.metrics.gauge(
+            "repro_cache_entries",
+            "Live entries in the server-side TTL cache.",
+        )
+        self._entries_gauge.set(0.0)
         self.stats = CacheStats(self.metrics)
 
     def _count(self, key: str, result: str) -> None:
@@ -411,12 +389,8 @@ class TTLCache:
     def _sync_gauges_locked(self) -> None:
         """Keep the live-size gauges in lockstep with the dicts (called
         with the cache lock held, after any mutation)."""
-        if self.shard is None:
-            self._entries_gauge.set(float(len(self._entries)))
-            self._inflight_gauge.set(float(len(self._inflight)))
-        else:
-            self._entries_gauge.set(float(len(self._entries)), shard=self.shard)
-            self._inflight_gauge.set(float(len(self._inflight)), shard=self.shard)
+        self._entries_gauge.set(float(len(self._entries)))
+        self._inflight_gauge.set(float(len(self._inflight)))
 
     def lock_stats(self) -> Dict[str, float]:
         """Lifetime contention profile of the cache lock (acquisitions,

@@ -59,7 +59,6 @@ class Dashboard:
         admission: Optional[AdmissionConfig] = None,
         worker_pool_size: int = 8,
         worker_queue_max: int = 64,
-        cache_shards: int = 1,
         cache_max_entries: Optional[int] = None,
     ):
         if quotas is None:
@@ -86,7 +85,6 @@ class Dashboard:
             admission=admission,
             worker_pool_size=worker_pool_size,
             worker_queue_max=worker_queue_max,
-            cache_shards=cache_shards,
             cache_max_entries=cache_max_entries,
         )
         self.registry = RouteRegistry()
@@ -199,7 +197,6 @@ def build_demo_dashboard(
     cache_policy: Optional[CachePolicy] = None,
     use_server_cache: bool = True,
     admission: Optional[AdmissionConfig] = None,
-    cache_shards: int = 1,
     cache_max_entries: Optional[int] = None,
 ):
     """One-call demo instance: populated cluster + directory + dashboard.
@@ -217,7 +214,6 @@ def build_demo_dashboard(
         cache_policy=cache_policy,
         use_server_cache=use_server_cache,
         admission=admission,
-        cache_shards=cache_shards,
         cache_max_entries=cache_max_entries,
     )
     return dash, directory, result

@@ -57,7 +57,6 @@ from repro.storage.quota import DirectoryQuota, QuotaDatabase
 from .caching import CachePolicy, TTLCache
 from .params import ParamError
 from .records import JobRecord, NodeRecord
-from .sharding import ShardedCache
 from .workers import TaskOutcome, WorkerPool
 
 RouteHandler = Callable[["DashboardContext", Viewer, Dict[str, Any]], Dict[str, Any]]
@@ -212,6 +211,32 @@ def _retry_after_of(exc: BaseException) -> Optional[float]:
     return None
 
 
+def _error_of(exc: Exception) -> Tuple[int, str, bool, Optional[float]]:
+    """Map a handler failure to ``(status, error, degraded, retry_after_s)``.
+
+    Order matters: the admission errors subclass :class:`DaemonError`.
+    """
+    if isinstance(exc, PermissionDenied):
+        return 403, str(exc), False, None
+    if isinstance(exc, ParamError):
+        # a bad query parameter is the client's mistake, not a crash
+        return 400, str(exc), False, None
+    if isinstance(exc, DeadlineExceededError):
+        # the request's time budget ran out mid-fetch: a structured
+        # 504 with a retry hint, instead of burning more backoff
+        return 504, str(exc), True, exc.retry_after_s
+    if isinstance(exc, BulkheadSaturatedError):
+        # the backend's concurrency bulkhead is full: 429 + Retry-After
+        return 429, str(exc), True, exc.retry_after_s
+    if isinstance(exc, DaemonError):
+        # backend down, retries exhausted, nothing stale to serve —
+        # a structured 503, never a traceback (§2.4 resilience)
+        return 503, str(exc), True, _retry_after_of(exc)
+    if isinstance(exc, KeyError):
+        return 404, f"not found: {exc}", False, None
+    return 500, f"{type(exc).__name__}: {exc}", False, None
+
+
 class RouteRegistry:
     """All registered routes; the modular dispatch point."""
 
@@ -349,64 +374,21 @@ class RouteRegistry:
         scope: "FetchScope",
         t0: float,
     ) -> RouteResponse:
-        name = route.name
         try:
             data = route.handler(ctx, viewer, params)
-            return RouteResponse(
-                ok=True,
-                data=data,
-                route=name,
-                elapsed_ms=(time.perf_counter() - t0) * 1000,
-                degraded=scope.degraded,
-                stale_age_s=scope.stale_age_s,
-            )
-        except PermissionDenied as exc:
-            return RouteResponse(
-                ok=False, error=str(exc), status=403, route=name,
-                elapsed_ms=(time.perf_counter() - t0) * 1000,
-            )
-        except ParamError as exc:
-            # a bad query parameter is the client's mistake, not a crash
-            return RouteResponse(
-                ok=False, error=str(exc), status=400, route=name,
-                elapsed_ms=(time.perf_counter() - t0) * 1000,
-            )
-        except DeadlineExceededError as exc:
-            # the request's time budget ran out mid-fetch: a structured
-            # 504 with a retry hint, instead of burning more backoff
-            return RouteResponse(
-                ok=False, error=str(exc), status=504, route=name,
-                elapsed_ms=(time.perf_counter() - t0) * 1000,
-                degraded=True, retry_after_s=exc.retry_after_s,
-            )
-        except BulkheadSaturatedError as exc:
-            # the backend's concurrency bulkhead is full: 429 + Retry-After
-            return RouteResponse(
-                ok=False, error=str(exc), status=429, route=name,
-                elapsed_ms=(time.perf_counter() - t0) * 1000,
-                degraded=True, retry_after_s=exc.retry_after_s,
-            )
-        except DaemonError as exc:
-            # backend down, retries exhausted, nothing stale to serve —
-            # a structured 503, never a traceback (§2.4 resilience)
-            return RouteResponse(
-                ok=False, error=str(exc), status=503, route=name,
-                elapsed_ms=(time.perf_counter() - t0) * 1000,
-                degraded=True, retry_after_s=_retry_after_of(exc),
-            )
-        except KeyError as exc:
-            return RouteResponse(
-                ok=False, error=f"not found: {exc}", status=404, route=name,
-                elapsed_ms=(time.perf_counter() - t0) * 1000,
-            )
         except Exception as exc:  # noqa: BLE001 - isolation is the point
-            return RouteResponse(
-                ok=False,
-                error=f"{type(exc).__name__}: {exc}",
-                status=500,
-                route=name,
-                elapsed_ms=(time.perf_counter() - t0) * 1000,
+            status, error, degraded, retry_after_s = _error_of(exc)
+            response = RouteResponse(
+                ok=False, error=error, status=status, route=route.name,
+                degraded=degraded, retry_after_s=retry_after_s,
             )
+        else:
+            response = RouteResponse(
+                ok=True, data=data, route=route.name,
+                degraded=scope.degraded, stale_age_s=scope.stale_age_s,
+            )
+        response.elapsed_ms = (time.perf_counter() - t0) * 1000
+        return response
 
 
 class DashboardContext:
@@ -433,7 +415,6 @@ class DashboardContext:
         admission: Optional[AdmissionConfig] = None,
         worker_pool_size: int = 8,
         worker_queue_max: int = 64,
-        cache_shards: int = 1,
         cache_max_entries: Optional[int] = None,
     ):
         self.cluster = cluster
@@ -454,23 +435,12 @@ class DashboardContext:
         max_entries = {} if cache_max_entries is None else (
             {"max_entries": cache_max_entries}
         )
-        if cache_shards > 1:
-            # consistent-hash scale-out: shared-nothing shards with
-            # per-shard locks, byte-identical responses to the default
-            self.cache: Any = ShardedCache(
-                cluster.clock,
-                shards=cache_shards,
-                default_ttl=self.cache_policy.default,
-                registry=self.obs.registry,
-                **max_entries,
-            )
-        else:
-            self.cache = TTLCache(
-                cluster.clock,
-                default_ttl=self.cache_policy.default,
-                registry=self.obs.registry,
-                **max_entries,
-            )
+        self.cache = TTLCache(
+            cluster.clock,
+            default_ttl=self.cache_policy.default,
+            registry=self.obs.registry,
+            **max_entries,
+        )
         self.fetcher = ResilientFetcher(
             cache=self.cache,
             daemons=cluster.daemons,
@@ -666,14 +636,10 @@ class DashboardContext:
         return self.admission.report()
 
     def refresh_gauges(self) -> None:
-        """Update the scrape-time gauges (breakers, cache size, daemon
-        rates, admission tier) from their live sources."""
+        """Update the scrape-time gauges (breakers, daemon rates,
+        admission tier) from their live sources."""
         self.breaker_report()
         self.admission.maybe_evaluate()
-        if isinstance(self.cache, ShardedCache):
-            # reconcile the unlabeled size gauges + per-shard lock profile
-            self.cache.sync_gauges()
-        self.obs.cache_entries.set(float(len(self.cache)))
         for name, snap in self.cluster.daemons.snapshot().items():
             self.obs.daemon_recent_rate.set(
                 snap["recent_rate_rps"], daemon=name

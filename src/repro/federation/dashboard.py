@@ -200,7 +200,6 @@ def build_demo_federation(
     duration_hours: float = 2.0,
     cache_policy=None,
     admission=None,
-    cache_shards: int = 1,
 ):
     """One-call demo federation: N populated member clusters behind one
     :class:`FederatedDashboard`.  Member seeds derive from ``seed`` so
@@ -216,6 +215,5 @@ def build_demo_federation(
             duration_hours=duration_hours,
             cache_policy=cache_policy,
             admission=admission,
-            cache_shards=cache_shards,
         )
     return FederatedDashboard(registry), registry

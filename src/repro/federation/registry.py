@@ -89,7 +89,6 @@ class ClusterRegistry:
         workload: Optional[WorkloadConfig] = None,
         cache_policy: Optional[CachePolicy] = None,
         admission: Optional[AdmissionConfig] = None,
-        cache_shards: int = 1,
         cpu_nodes: int = 8,
         gpu_nodes: int = 2,
     ) -> ClusterMember:
@@ -118,7 +117,6 @@ class ClusterRegistry:
             directory,
             cache_policy=cache_policy,
             admission=admission,
-            cache_shards=cache_shards,
         )
         member = ClusterMember(name, dashboard, directory, workload=result)
         self._members[name] = member

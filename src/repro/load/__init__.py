@@ -13,13 +13,10 @@ from .federation import federation_ab, run_federation_side
 from .generator import (
     RequestOutcome,
     bench_environment,
-    compare_sharding,
     delivery_ab,
     percentile,
-    responses_identical,
     run_scenario,
     run_suite,
-    stampede_contention,
     views_ab,
 )
 from .report import diff, load_bench, summarize, validate_bench, write_bench
@@ -46,20 +43,17 @@ __all__ = [
     "Scenario",
     "bench_environment",
     "build_trace",
-    "compare_sharding",
     "default_scenarios",
     "delivery_ab",
     "diff",
     "federation_ab",
     "load_bench",
     "percentile",
-    "responses_identical",
     "run_federation_side",
     "run_fleet_side",
     "run_scenario",
     "run_suite",
     "scaleout_ab",
-    "stampede_contention",
     "summarize",
     "trace_digest",
     "trace_summary",

@@ -19,7 +19,6 @@ from __future__ import annotations
 import gzip
 import os
 import platform
-import sys
 import threading
 import time
 import urllib.error
@@ -31,14 +30,10 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.auth import Viewer
 from repro.core.caching import CachePolicy
 from repro.core.dashboard import build_demo_dashboard
-from repro.core.sharding import ShardedCache
 from repro.faults import FaultPlan
-from repro.obs.metrics import MetricsRegistry
-from repro.sim.clock import SimClock
 from repro.web.server import DashboardServer
 
 from .scenarios import (
-    HOMEPAGE,
     PlannedRequest,
     Scenario,
     build_trace,
@@ -185,7 +180,6 @@ def run_scenario(
         )
     dash, _directory, _ = build_demo_dashboard(
         seed=scenario.seed,
-        cache_shards=scenario.cache_shards,
         cache_policy=cache_policy,
     )
     trace = build_trace(scenario, catalog=request_catalog(dash))
@@ -285,7 +279,6 @@ def _scenario_record(
         "description": scenario.description,
         "seed": scenario.seed,
         "mode": scenario.mode,
-        "cache_shards": scenario.cache_shards,
         "duration_s": scenario.duration_s,
         "users": scenario.users,
         "trace": {"digest": trace_digest(trace), **trace_summary(trace)},
@@ -331,132 +324,6 @@ def _scenario_record(
         "admission_tiers": tiers,
         "lock": dash.ctx.cache.lock_stats(),
     }
-
-
-# -- hot-key stampede: sharded-lock A/B -------------------------------------
-
-
-def stampede_contention(
-    shards: int,
-    *,
-    threads: int = 32,
-    iterations: int = 3000,
-    hot_keys: int = 8,
-) -> Dict[str, Any]:
-    """Hammer a few hot keys from many threads; report lock contention.
-
-    This is the microbenchmark behind the ``cache_shards`` knob.  Each
-    thread pins to one hot key (a stampede is many clients refreshing
-    the *same* page): with one shard every lookup serialises on a
-    single lock, while sharding splits the threads into per-shard lock
-    groups that stop colliding with each other.  The thread switch
-    interval is lowered during the run so contended acquisitions show
-    up reliably even on a lightly loaded machine.
-    """
-    clock = SimClock()
-    cache = ShardedCache(
-        clock, shards=shards, default_ttl=3600.0, registry=MetricsRegistry()
-    )
-    keys = [f"hot:{i}" for i in range(hot_keys)]
-    for key in keys:  # warm: measure steady-state lock traffic, not misses
-        cache.fetch(key, lambda: {"payload": key})
-
-    barrier = threading.Barrier(threads)
-
-    def worker(idx: int) -> None:
-        key = keys[idx % hot_keys]
-        barrier.wait()
-        for _ in range(iterations):
-            cache.fetch(key, lambda: {"payload": key})
-
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-4)
-    try:
-        t0 = time.perf_counter()
-        threads_list = [
-            threading.Thread(target=worker, args=(i,)) for i in range(threads)
-        ]
-        for t in threads_list:
-            t.start()
-        for t in threads_list:
-            t.join()
-        elapsed = time.perf_counter() - t0
-    finally:
-        sys.setswitchinterval(old_interval)
-
-    stats = cache.lock_stats()
-    return {
-        "shards": shards,
-        "threads": threads,
-        "iterations_per_thread": iterations,
-        "hot_keys": hot_keys,
-        "wall_s": round(elapsed, 4),
-        "lock": stats,
-        "lock_by_shard": cache.lock_stats_by_shard(),
-    }
-
-
-def compare_sharding(
-    *,
-    shard_counts: Sequence[int] = (1, 8),
-    threads: int = 32,
-    iterations: int = 3000,
-    hot_keys: int = 8,
-    verify_routes: Sequence[str] = (
-        HOMEPAGE,
-        "/api/v1/my_jobs",
-        "/api/v1/cluster_status",
-        "/api/v1/widgets/recent_jobs",
-        "/api/v1/widgets/system_status",
-    ),
-    verify_seed: int = 77,
-) -> Dict[str, Any]:
-    """The BENCH file's ``sharding`` section: contention A/B plus proof
-    that sharding never changes a single response byte."""
-    runs = {
-        str(n): stampede_contention(
-            n, threads=threads, iterations=iterations, hot_keys=hot_keys
-        )
-        for n in shard_counts
-    }
-    base = runs[str(shard_counts[0])]["lock"]
-    top = runs[str(shard_counts[-1])]["lock"]
-    reduction = 0.0
-    if base["contended"] > 0:
-        reduction = 1.0 - (top["contended"] / base["contended"])
-    return {
-        "shard_counts": list(shard_counts),
-        "stampede": runs,
-        "contended_reduction": round(reduction, 4),
-        "responses_identical": responses_identical(
-            shard_counts, routes=verify_routes, seed=verify_seed
-        ),
-    }
-
-
-def responses_identical(
-    shard_counts: Sequence[int],
-    *,
-    routes: Sequence[str],
-    seed: int,
-    user: str = "alice",
-) -> bool:
-    """True when every route serves byte-identical bodies across all
-    shard counts (same seed, fresh dashboard each)."""
-    bodies: List[List[bytes]] = []
-    for n in shard_counts:
-        dash, _directory, _ = build_demo_dashboard(seed=seed, cache_shards=n)
-        with DashboardServer(dash) as server:
-            batch = []
-            for path in routes:
-                request = urllib.request.Request(
-                    server.url + path, headers={"X-Remote-User": user}
-                )
-                with urllib.request.urlopen(request, timeout=30) as resp:
-                    batch.append(resp.read())
-            bodies.append(batch)
-    first = bodies[0]
-    return all(batch == first for batch in bodies[1:])
 
 
 # -- HTTP delivery: conditional GET / gzip / streaming A/B -------------------
@@ -664,15 +531,14 @@ def run_suite(
     scenarios: Sequence[Scenario],
     *,
     smoke: bool = False,
-    include_sharding: bool = True,
     include_delivery: bool = True,
     include_views: bool = True,
     include_federation: bool = True,
     include_scaleout: bool = True,
     progress: Optional[Any] = None,
 ) -> Dict[str, Any]:
-    """Run scenarios plus the sharding and delivery comparisons into one
-    BENCH doc."""
+    """Run scenarios plus the delivery, views, federation and scale-out
+    comparisons into one BENCH doc."""
     records = []
     for scenario in scenarios:
         if progress is not None:
@@ -685,13 +551,6 @@ def run_suite(
         "environment": bench_environment(),
         "scenarios": records,
     }
-    if include_sharding:
-        if progress is not None:
-            progress("sharding stampede comparison ...")
-        doc["sharding"] = compare_sharding(
-            threads=16 if smoke else 32,
-            iterations=800 if smoke else 3000,
-        )
     if include_delivery:
         if progress is not None:
             progress("HTTP delivery A/B ...")

@@ -22,7 +22,6 @@ SCENARIO_FIELDS: Dict[str, Union[type, Tuple[type, ...]]] = {
     "name": str,
     "seed": int,
     "mode": str,
-    "cache_shards": int,
     "duration_s": Number,
     "users": int,
     "trace": dict,
@@ -87,15 +86,6 @@ def validate_bench(doc: Any) -> List[str]:
         for field in RPS_FIELDS:
             if field not in rec.get("rps", {}):
                 errors.append(f"{label}: rps missing {field!r}")
-    sharding = doc.get("sharding")
-    if sharding is not None:
-        if not isinstance(sharding, dict):
-            errors.append("sharding must be an object")
-        else:
-            for field in ("shard_counts", "stampede", "contended_reduction",
-                          "responses_identical"):
-                if field not in sharding:
-                    errors.append(f"sharding: missing field {field!r}")
     delivery = doc.get("delivery")
     if delivery is not None:
         if not isinstance(delivery, dict):
@@ -209,23 +199,6 @@ def summarize(doc: Dict[str, Any]) -> str:
         if degraded:
             timeline = " -> ".join(f"{t[1]}@{t[0]:.0f}s" for t in tiers)
             lines.append(f"{'':<14} admission: {timeline}")
-    sharding = doc.get("sharding")
-    if sharding:
-        lines.append("")
-        lines.append("hot-key stampede (lock contention by shard count):")
-        for count in sharding["shard_counts"]:
-            run = sharding["stampede"][str(count)]
-            lock = run["lock"]
-            lines.append(
-                f"  shards={count:<3} contended={lock['contended']:>8.0f} "
-                f"wait={lock['wait_s'] * 1000:>8.1f}ms "
-                f"wall={run['wall_s'] * 1000:>8.1f}ms"
-            )
-        lines.append(
-            f"  contention reduction: "
-            f"{sharding['contended_reduction'] * 100:.1f}%  "
-            f"responses identical: {sharding['responses_identical']}"
-        )
     delivery = doc.get("delivery")
     if delivery:
         nm = delivery["not_modified"]
@@ -369,14 +342,6 @@ def diff(old: Dict[str, Any], new: Dict[str, Any]) -> str:
     for name in old_by_name:
         lines.append(f"{name}: removed (present in baseline only)")
 
-    old_sh = old.get("sharding")
-    new_sh = new.get("sharding")
-    if old_sh and new_sh:
-        lines.append(
-            f"sharding contention reduction: "
-            f"{old_sh['contended_reduction']:.3f} -> "
-            f"{new_sh['contended_reduction']:.3f}"
-        )
     old_dl = old.get("delivery")
     new_dl = new.get("delivery")
     if old_dl and new_dl:

@@ -113,7 +113,6 @@ class Scenario:
     )
     bursts: Tuple[Burst, ...] = ()
     faults: Tuple[FaultSpec, ...] = ()
-    cache_shards: int = 1
     #: override every cache TTL (seconds); None keeps the paper's
     #: per-source policy.  Fault scenarios shrink it so entries expire
     #: *during* the outage and the serve-stale path actually exercises.

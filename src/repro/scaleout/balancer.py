@@ -5,7 +5,7 @@ proxies every request to a worker process chosen by **cache-affinity
 routing**: the request's viewer+route identity (the same
 :func:`~repro.web.delivery.request_cache_key` the workers' validator
 indexes use) is hashed on a consistent-hash ring
-(:class:`~repro.core.sharding.HashRing`) over the worker names.  Repeat
+(:class:`~repro.scaleout.ring.HashRing`) over the worker names.  Repeat
 requests for the same key land on the same worker, so the fleet's
 caches partition the working set — N workers hold N x the entries —
 instead of each worker independently missing on everything (the
@@ -35,11 +35,12 @@ from http.server import BaseHTTPRequestHandler
 from typing import Dict, List, Mapping, Optional, Tuple
 from urllib.parse import urlparse
 
-from repro.core.sharding import HashRing
 from repro.federation.metrics import merge_scrapes
 from repro.obs.metrics import MetricsRegistry
 from repro.web.delivery import request_cache_key
 from repro.web.server import _LoadableHTTPServer
+
+from .ring import HashRing
 
 #: headers that are connection-scoped, never forwarded either direction
 #: (RFC 9110 §7.6.1), plus the ones the proxy regenerates itself

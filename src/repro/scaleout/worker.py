@@ -47,7 +47,6 @@ class WorkerConfig:
 
     seed: int = 2025
     duration_hours: float = 6.0
-    cache_shards: int = 1
     cache_max_entries: Optional[int] = None
     #: uniform TTL override for every source (None keeps the paper's
     #: per-source policy) — load scenarios pin it so cache misses
@@ -94,7 +93,6 @@ class WorkerConfig:
             workload=workload,
             cache_policy=cache_policy,
             use_server_cache=self.use_server_cache,
-            cache_shards=self.cache_shards,
             cache_max_entries=self.cache_max_entries,
         )
 

@@ -3,12 +3,16 @@
 The fleet balancer leans on exactly two ring promises when a worker
 dies or joins: keys owned by *surviving* nodes never move, and the
 departed node's ~1/N share redistributes instead of reshuffling the
-world.  Hypothesis hunts for node-name sets that break either.
+world.  Hypothesis hunts for node-name sets that break either.  The
+pinned hash and owner table below guard one more, across restarts: a
+fleet restarted on new code still sends every key to the same worker.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.sharding import HashRing
+from repro.scaleout.ring import HashRing, _hash64
+from repro.web.delivery import request_cache_key
 
 #: deterministic key population shaped like real affinity keys
 KEYS = [
@@ -116,3 +120,60 @@ def test_failover_matches_preference_order(nodes, data):
     ring.remove(victim)
     for key, expected in expectations.items():
         assert ring.owner(key) == expected
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_keys_spread_evenly_across_nodes(n):
+    """64 vnodes per node: every node owns keys, none over ~2x its share."""
+    ring = HashRing(f"w{i}" for i in range(n))
+    counts = {node: 0 for node in ring.nodes}
+    for i in range(2000):
+        counts[ring.owner(f"route:{i}")] += 1
+    assert min(counts.values()) > 0
+    assert max(counts.values()) < 2 * (2000 / n)
+
+
+def test_rejects_bad_config():
+    with pytest.raises(ValueError):
+        HashRing(["w0"], vnodes=0)
+    ring = HashRing(["w0"])
+    with pytest.raises(ValueError):
+        ring.add("w0")
+    with pytest.raises(ValueError):
+        ring.remove("w1")
+    ring.remove("w0")
+    with pytest.raises(ValueError):
+        ring.owner("any")
+    assert ring.preference("any") == []
+
+
+def test_hash_is_process_independent():
+    """BLAKE2b, not the per-process salted ``hash()``: the same key
+    hashes identically in every worker and across restarts."""
+    assert _hash64("stable-key") == 7424698699771254153
+
+
+#: (affinity key, preference order over w0..w2) as the ring has always
+#: computed them; a change to the point derivation fails here instead
+#: of silently moving every key to a different worker
+OWNER_TABLE = [
+    (("alice", False, "/api/v1/my_jobs", ""), ["w0", "w2", "w1"]),
+    (("alice", False, "/", ""), ["w0", "w1", "w2"]),
+    (("alice", False, "/api/v1/widgets/recent_jobs", ""), ["w1", "w2", "w0"]),
+    (("bob", False, "/api/v1/my_jobs", "range=all"), ["w1", "w0", "w2"]),
+    (("carol", False, "/api/v1/cluster_status", ""), ["w1", "w0", "w2"]),
+    (("dave", False, "/", ""), ["w2", "w0", "w1"]),
+    (("erin", True, "/api/v1/widgets/system_status", ""), ["w2", "w1", "w0"]),
+    (("frank", False, "/api/v1/node_overview", "node=a000"), ["w2", "w0", "w1"]),
+]
+
+
+@pytest.mark.parametrize(
+    "identity,expected", OWNER_TABLE,
+    ids=[request_cache_key(*identity) for identity, _ in OWNER_TABLE],
+)
+def test_affinity_keys_keep_their_workers(identity, expected):
+    ring = HashRing(["w0", "w1", "w2"])
+    key = request_cache_key(*identity)
+    assert ring.owner(key) == expected[0]
+    assert ring.preference(key) == expected

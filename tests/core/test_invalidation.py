@@ -12,7 +12,6 @@ import threading
 import pytest
 
 from repro.core.caching import VIEW_SOURCES, CachePolicy, TTLCache
-from repro.core.sharding import ShardedCache
 from repro.sim.clock import SimClock
 
 
@@ -180,21 +179,6 @@ class TestInvalidationRacesRefreshAhead:
         assert cache.metrics.total(
             "repro_cache_refresh_ahead_total", result="ok"
         ) == 1.0
-
-
-class TestShardedInvalidate:
-    def test_routes_to_owning_shard(self, clock):
-        sharded = ShardedCache(clock, shards=4, default_ttl=60.0)
-        sharded.write("squeue:alice", "v")
-        assert sharded.invalidate("squeue:alice") is True
-        assert sharded.read("squeue:alice") is None
-        assert sharded.epoch_of("squeue:alice") == 1
-        # only the owning shard's epoch moved
-        moved = sum(
-            1 for shard in sharded.shards
-            if shard.epoch_of("squeue:alice") == 1
-        )
-        assert moved == 1
 
 
 class TestEventViewsPolicy:

@@ -3,7 +3,15 @@
 import pytest
 
 from repro.auth import PermissionDenied, Viewer
+from repro.core.params import ParamError
 from repro.core.routes import ApiRoute, RouteRegistry
+from repro.faults import (
+    BulkheadSaturatedError,
+    CircuitOpenError,
+    DaemonError,
+    DeadlineExceededError,
+    SourceUnavailableError,
+)
 
 
 def make_route(name="w", path=None, handler=None, feature="W"):
@@ -50,34 +58,54 @@ class TestRegistry:
             reg.unregister("a")
 
 
+#: every handler failure the dispatcher maps, as
+#: (exception, status, error text, degraded, retry_after_s)
+_DEADLINE = DeadlineExceededError("slurmctld", 1.0, 1.5, retry_after_s=2.0)
+_BULKHEAD = BulkheadSaturatedError("slurmdbd", retry_after_s=3.0)
+_UNAVAILABLE = SourceUnavailableError(
+    "squeue", "slurmctld", CircuitOpenError("slurmctld", retry_after_s=7.0)
+)
+DISPATCH_MAPPINGS = [
+    pytest.param(PermissionDenied("nope"), 403, "nope", False, None,
+                 id="403-permission-denied"),
+    pytest.param(ParamError("bad limit"), 400, "bad limit", False, None,
+                 id="400-param-error"),
+    pytest.param(_DEADLINE, 504, str(_DEADLINE), True, 2.0,
+                 id="504-deadline"),
+    pytest.param(_BULKHEAD, 429, str(_BULKHEAD), True, 3.0,
+                 id="429-bulkhead"),
+    pytest.param(_UNAVAILABLE, 503, str(_UNAVAILABLE), True, 7.0,
+                 id="503-chained-hint"),
+    pytest.param(DaemonError("slurmctld", "down"), 503, "down", True, None,
+                 id="503-no-hint"),
+    pytest.param(KeyError("job 999"), 404, "not found: 'job 999'", False,
+                 None, id="404-key-error"),
+    pytest.param(ZeroDivisionError("division by zero"), 500,
+                 "ZeroDivisionError: division by zero", False, None,
+                 id="500-other"),
+]
+
+
 class TestDispatchIsolation:
     """§2.4 Modularity: a broken component must not take others down."""
 
-    def test_handler_exception_becomes_500(self, dash, alice_v):
-        reg = dash.registry
-        reg.register(
-            make_route("broken", handler=lambda c, v, p: 1 / 0)
-        )
-        resp = reg.call(dash.ctx, "broken", alice_v)
-        assert not resp.ok
-        assert resp.status == 500
-        assert "ZeroDivisionError" in resp.error
+    @pytest.mark.parametrize(
+        "exc,status,error,degraded,retry_after_s", DISPATCH_MAPPINGS
+    )
+    def test_error_mapping(
+        self, dash, alice_v, exc, status, error, degraded, retry_after_s
+    ):
+        def handler(ctx, viewer, params):
+            raise exc
 
-    def test_permission_denied_becomes_403(self, dash, alice_v):
-        def deny(ctx, viewer, params):
-            raise PermissionDenied("nope")
-
-        dash.registry.register(make_route("secret", handler=deny))
-        resp = dash.registry.call(dash.ctx, "secret", alice_v)
-        assert resp.status == 403
-
-    def test_keyerror_becomes_404(self, dash, alice_v):
-        def missing(ctx, viewer, params):
-            raise KeyError("job 999")
-
-        dash.registry.register(make_route("missing", handler=missing))
-        resp = dash.registry.call(dash.ctx, "missing", alice_v)
-        assert resp.status == 404
+        dash.registry.register(make_route("failing", handler=handler))
+        resp = dash.registry.call(dash.ctx, "failing", alice_v)
+        assert not resp.ok and resp.data is None
+        assert resp.status == status
+        assert resp.error == error
+        assert resp.degraded is degraded
+        assert resp.retry_after_s == retry_after_s
+        assert resp.elapsed_ms >= 0
 
     def test_unknown_route_404(self, dash, alice_v):
         resp = dash.registry.call(dash.ctx, "ghost", alice_v)

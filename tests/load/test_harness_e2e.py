@@ -123,9 +123,8 @@ class TestSuite:
         doc = run_suite(
             [_tiny(name="suite_a"), _tiny(name="suite_b", seed=8)],
             smoke=True,
-            include_sharding=False,
             # the multi-process A/B spawns whole fleets; its own smoke
-            # runs in the scaleout CI job, not the unit suite
+            # runs in the CI smoke job, not the unit suite
             include_scaleout=False,
         )
         assert validate_bench(doc) == []

@@ -1,10 +1,15 @@
 """Tests for the BENCH document schema, summaries, and trajectory diff."""
 
 import json
+import pathlib
 
 import pytest
 
-from repro.load import diff, summarize, validate_bench, write_bench
+from repro.load import diff, load_bench, summarize, validate_bench, write_bench
+
+#: the committed trajectory file; it predates some schema removals, so
+#: it also pins that unknown sections and fields are tolerated
+COMMITTED_BENCH = pathlib.Path(__file__).resolve().parents[2] / "BENCH_load.json"
 
 
 def _scenario_record(name="steady_state", digest="abc123", p95=12.5):
@@ -13,7 +18,6 @@ def _scenario_record(name="steady_state", digest="abc123", p95=12.5):
         "description": "",
         "seed": 1,
         "mode": "open",
-        "cache_shards": 1,
         "duration_s": 60.0,
         "users": 50,
         "trace": {
@@ -107,6 +111,12 @@ class TestValidate:
     def test_valid_doc_passes(self):
         assert validate_bench(_doc()) == []
 
+    def test_committed_bench_still_validates_summarizes_and_diffs(self):
+        doc = load_bench(COMMITTED_BENCH)
+        assert validate_bench(doc) == []
+        assert "steady_state" in summarize(doc)
+        assert "steady_state" in diff(doc, doc)
+
     def test_rejects_non_object(self):
         assert validate_bench([1, 2]) == ["document is not a JSON object"]
 
@@ -136,11 +146,6 @@ class TestValidate:
         rec["ctld_rpcs"] = "forty"
         errors = validate_bench(_doc(scenarios=[rec]))
         assert any("ctld_rpcs" in e and "type" in e for e in errors)
-
-    def test_validates_sharding_section(self):
-        errors = validate_bench(_doc(sharding={"stampede": {}}))
-        assert any("contended_reduction" in e for e in errors)
-        assert any("responses_identical" in e for e in errors)
 
     def test_valid_scaleout_section_passes(self):
         assert validate_bench(_doc(scaleout=_scaleout_record())) == []
@@ -186,25 +191,6 @@ class TestSummarize:
         rec["admission_tiers"] = [[0.0, "normal"], [20.0, "brownout"]]
         out = summarize(_doc(scenarios=[rec]))
         assert "brownout@20s" in out
-
-    def test_shows_sharding_section(self):
-        doc = _doc(sharding={
-            "shard_counts": [1, 8],
-            "stampede": {
-                "1": {"wall_s": 0.5, "lock": {"acquisitions": 100.0,
-                                              "contended": 50.0,
-                                              "wait_s": 0.2}},
-                "8": {"wall_s": 0.4, "lock": {"acquisitions": 100.0,
-                                              "contended": 5.0,
-                                              "wait_s": 0.01}},
-            },
-            "contended_reduction": 0.9,
-            "responses_identical": True,
-        })
-        out = summarize(doc)
-        assert "shards=1" in out and "shards=8" in out
-        assert "90.0%" in out
-        assert "responses identical: True" in out
 
     def test_shows_scaleout_speedup_vs_one_worker(self):
         out = summarize(_doc(scaleout=_scaleout_record()))

@@ -37,6 +37,9 @@ class TestDegeneratePayloads:
         assert "no route histograms" in out
         assert "no cache counters" in out
         assert "no breaker gauges" in out
+        assert "no brownout tier gauge" in out
+        assert "no tier transitions recorded" in out
+        assert "no bulkhead gauges" in out
 
     def test_truncated_line_is_dropped_not_fatal(self, obs_report):
         payload = (
@@ -108,6 +111,65 @@ class TestBreakerStateGuard:
         out = obs_report.render_report(payload)
         assert "news" in out
         assert "unknown" in out
+
+
+class TestAdmissionSections:
+    PAYLOAD = (
+        "repro_brownout_tier 1\n"
+        'repro_brownout_transitions_total{to="brownout"} 2\n'
+        'repro_brownout_transitions_total{to="normal"} 1\n'
+        'repro_admission_rejected_total{reason="bulkhead"} 4\n'
+        'repro_admission_rejected_total{reason="shed"} 3\n'
+        'repro_bulkhead_active{service="slurmctld"} 2\n'
+        'repro_bulkhead_queue_depth{service="slurmctld"} 5\n'
+        'repro_bulkhead_queue_depth{service="slurmdbd"} 1\n'
+    )
+
+    def _by_name(self, obs_report, payload):
+        return obs_report.samples_by_name(
+            obs_report.parse_prometheus_text(payload)
+        )
+
+    def test_tier_and_transitions(self, obs_report):
+        out = obs_report.render_report(self.PAYLOAD)
+        assert "admission tier: brownout (gauge=1)" in out
+        lines = out.splitlines()
+        assert any(l.split() == ["->", "brownout", "2x"] for l in lines)
+        assert any(l.split() == ["->", "normal", "1x"] for l in lines)
+
+    def test_out_of_range_tier_is_reported_not_fatal(self, obs_report):
+        out = obs_report.render_report("repro_brownout_tier 7\n")
+        assert "admission tier: unknown(7)" in out
+
+    def test_rejections_cover_every_reason_with_a_total(self, obs_report):
+        rows = obs_report.rejection_table(
+            self._by_name(obs_report, self.PAYLOAD)
+        )
+        assert rows == {
+            "deadline": 0.0, "bulkhead": 4.0, "brownout": 0.0, "shed": 3.0,
+        }
+        out = obs_report.render_report(self.PAYLOAD)
+        assert any(l.split() == ["total", "7"] for l in out.splitlines())
+
+    def test_bulkheads_per_service(self, obs_report):
+        rows = obs_report.bulkhead_table(
+            self._by_name(obs_report, self.PAYLOAD)
+        )
+        assert rows == [
+            {"service": "slurmctld", "active": 2.0, "queued": 5.0},
+            {"service": "slurmdbd", "active": 0.0, "queued": 1.0},
+        ]
+
+    def test_scrape_cut_anywhere_still_renders(self, obs_report):
+        """A scrape may end mid-line; every section must still render."""
+        for cut in range(len(self.PAYLOAD)):
+            out = obs_report.render_report(self.PAYLOAD[:cut])
+            for header in ("== Admission tier ==", "== Rejections by reason ==",
+                           "== Bulkheads =="):
+                assert header in out
+        out = obs_report.render_report(self.PAYLOAD[:-20])
+        assert "admission tier: brownout (gauge=1)" in out
+        assert "slurmctld" in out
 
 
 class TestCli:

@@ -7,8 +7,8 @@ fake worker addresses and an injected clock and never ``start()`` it.
 
 import pytest
 
-from repro.core.sharding import HashRing
 from repro.scaleout import BalancerServer
+from repro.scaleout.ring import HashRing
 from repro.web.delivery import request_cache_key
 
 WORKERS = {

@@ -20,7 +20,6 @@ from repro.core.caching import CachePolicy, TTLCache
 from repro.core.clientcache import ClientCache
 from repro.core.dashboard import build_demo_dashboard
 from repro.core.params import ParamError, coerce_params
-from repro.core.sharding import ShardedCache
 from repro.faults import FaultPlan
 from repro.sim.clock import SimClock
 from repro.web.client import BrowserClient, HttpTransport, InProcessTransport
@@ -88,12 +87,6 @@ class TestGenerationTags:
         cache.write("a", 1)
         cache.write("b", 2)
         assert cache.generation_of("b") > cache.generation_of("a")
-
-    def test_sharded_cache_delegates_to_the_owning_shard(self):
-        cache = ShardedCache(SimClock(), shards=4)
-        cache.write("k", 1)
-        assert cache.generation_of("k") == cache.shard_of("k").generation_of("k")
-        assert cache.generation_of("missing") is None
 
 
 # ---------------------------------------------------------------------------

@@ -234,10 +234,10 @@ current tier and the signals behind it. The metric families:
 | `repro_brownout_tier` | — | current tier index (0/1/2, gauge) |
 | `repro_brownout_transitions_total` | `to` | tier transitions |
 
-`tools/overload_report.py` renders a scraped payload as an overload
-report (tier, rejections by reason, bulkhead occupancy, breaker
-states); `benchmarks/test_perf_admission.py` is the overload benchmark
-(set `ADMISSION_SMOKE=1` for the CI-sized run).
+`tools/obs_report.py` renders these families as operator sections
+(tier and transitions, rejections by reason, bulkhead occupancy) next
+to its breaker table; `benchmarks/test_perf_admission.py` is the
+overload benchmark (set `ADMISSION_SMOKE=1` for the CI-sized run).
 """
 
 
@@ -299,7 +299,7 @@ halting under brownout (set `FANOUT_SMOKE=1` for the CI-sized run).
 
 
 LOAD_SECTION = """\
-## Load harness & cache sharding
+## Load harness
 
 `repro.load` turns the simulated deployment into a standing benchmark:
 it replays realistic user populations against the real HTTP server on
@@ -320,20 +320,13 @@ workflow).
    trace either way). A tick drains completely before the sim clock
    advances, so TTL expiry and fault windows land exactly on schedule.
    Per scenario it records p50/p95/p99 latency, offered/achieved RPS,
-   ctld RPCs per request, cache hit rate, stale serves, shed rate, and
-   the admission-tier timeline.
-3. **Cache sharding** — `DashboardContext(cache_shards=N)` fronts the
-   server cache with `repro.core.sharding.ShardedCache`: N
-   shared-nothing `TTLCache` shards behind a consistent-hash ring
-   (blake2b points, 64 vnodes/shard), each with its own lock, in-flight
-   map, and `shard`-labeled gauge series. The default (`1`) keeps the
-   plain `TTLCache`; higher counts cut lock contention under hot-key
-   stampedes with byte-identical responses
-   (`benchmarks/test_perf_sharding.py`, `SHARDING_SMOKE=1` for CI).
+   ctld RPCs per request, cache hit rate, stale serves, shed rate, the
+   admission-tier timeline, and the server cache's lock contention
+   (`TTLCache.lock_stats`).
 
 `python tools/bench_report.py run` writes and validates the BENCH file
 and prints the trajectory diff against the previous run; the CI
-`load-smoke` job does the same at `LOAD_SMOKE=1` sizing on every push.
+`smoke` job does the same at `LOAD_SMOKE=1` sizing on every push.
 """
 
 
@@ -345,17 +338,16 @@ re-sending bytes the client already holds and stops buffering pages the
 client could start parsing:
 
 1. **Conditional GET** — every cache write bumps a monotonic per-entry
-   *generation* (`TTLCache.generation_of`; `ShardedCache` delegates to
-   the owning shard). A route render records which cache entries it
-   read (`FetchScope.note_dep`), and a fully-cached, non-degraded
-   response gets a strong `ETag` derived from the route, viewer,
-   params, and those `(key, generation)` pairs. The server keeps a
-   bounded per-`(viewer, path, query)` `ValidatorIndex`; a request
-   presenting `If-None-Match` whose every dependency is still fresh at
-   the same generation is answered `304 Not Modified` with **zero
-   route renders and zero body bytes**. Any upstream rewrite — even to
-   an equal value — bumps the generation and invalidates the
-   validator, so a stale `304` is impossible.
+   *generation* (`TTLCache.generation_of`). A route render records
+   which cache entries it read (`FetchScope.note_dep`), and a
+   fully-cached, non-degraded response gets a strong `ETag` derived
+   from the route, viewer, params, and those `(key, generation)` pairs.
+   The server keeps a bounded per-`(viewer, path, query)`
+   `ValidatorIndex`; a request presenting `If-None-Match` whose every
+   dependency is still fresh at the same generation is answered `304
+   Not Modified` with **zero route renders and zero body bytes**. Any
+   upstream rewrite — even to an equal value — bumps the generation and
+   invalidates the validator, so a stale `304` is impossible.
 2. **gzip** — negotiated from `Accept-Encoding` q-values; compressible
    bodies (HTML, JSON, CSV, SVG) at or above 500 bytes are compressed
    deterministically (`mtime=0`), swapped in only when actually
@@ -520,7 +512,7 @@ SCALEOUT_SECTION = """\
 ## Multi-process scale-out
 
 `repro.scaleout` runs a fleet of N full dashboard processes behind one
-front balancer, with cross-process cache-shard ownership:
+front balancer, with cross-process cache-key ownership:
 
 1. **Shared-nothing workers** — `WorkerFleet` forks N processes, each
    running a complete `DashboardServer` (own interpreter, TTL cache,
@@ -534,9 +526,9 @@ front balancer, with cross-process cache-shard ownership:
    that die mid-run.
 2. **Cache-affinity routing** — `BalancerServer` hashes each request's
    viewer+route identity (the same `request_cache_key` derivation the
-   workers' validator indexes use) on the `HashRing` from
-   `repro.core.sharding`, promoted from cache shards to whole worker
-   processes. Repeat requests for one key land on one worker, so N
+   workers' validator indexes use) on the consistent-hash `HashRing`
+   in `repro.scaleout.ring` (blake2b points, 64 vnodes per worker).
+   Repeat requests for one key land on one worker, so N
    capped caches *partition* the working set (N x aggregate capacity)
    instead of each worker missing on everything. Viewer-less requests
    (and the `affinity=False` benchmark control) round-robin.

@@ -10,6 +10,9 @@ Reads Prometheus text exposition (a file, stdin, or a live scrape with
 * refresh-ahead activity per source (background revalidations and hits
   served while one was in flight) plus worker-pool occupancy;
 * circuit-breaker states and transition counts;
+* the admission tier and its lifetime transitions, admission
+  rejections by reason (deadline / bulkhead / brownout / shed), and
+  bulkhead occupancy per service (active slots, queued waiters);
 * daemon RPC volume and failures.
 
 Run::
@@ -29,6 +32,7 @@ from typing import Dict, List, Tuple
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from repro.faults.admission import REJECT_REASONS, TIERS  # noqa: E402
 from repro.obs.metrics import (  # noqa: E402
     Sample,
     parse_prometheus_text,
@@ -213,6 +217,53 @@ def breaker_table(by_name) -> List[dict]:
     return rows
 
 
+def tier_line(by_name) -> str:
+    """Current tier from the ``repro_brownout_tier`` gauge."""
+    gauges = by_name.get("repro_brownout_tier", [])
+    if not gauges:
+        return "(no brownout tier gauge in payload)"
+    index = int(gauges[0].value)
+    name = TIERS[index] if 0 <= index < len(TIERS) else f"unknown({index})"
+    return f"admission tier: {name} (gauge={index})"
+
+
+def transition_lines(by_name) -> List[str]:
+    transitions = by_name.get("repro_brownout_transitions_total", [])
+    if not transitions:
+        return ["(no tier transitions recorded)"]
+    return [
+        f"  -> {s.labeldict.get('to', '?'):<10} {s.value:.0f}x"
+        for s in sorted(transitions, key=lambda s: s.labeldict.get("to", ""))
+    ]
+
+
+def rejection_table(by_name) -> Dict[str, float]:
+    """Admission rejections per reason (every reason, zero if absent)."""
+    rejected = by_name.get("repro_admission_rejected_total", [])
+    return {
+        reason: _sum_where(rejected, reason=reason)
+        for reason in REJECT_REASONS
+    }
+
+
+def bulkhead_table(by_name) -> List[dict]:
+    """Per-service bulkhead occupancy: slots held and callers queued."""
+    active = by_name.get("repro_bulkhead_active", [])
+    queued = by_name.get("repro_bulkhead_queue_depth", [])
+    services = sorted(
+        {s.labeldict.get("service", "") for s in active}
+        | {s.labeldict.get("service", "") for s in queued}
+    )
+    return [
+        {
+            "service": service,
+            "active": _sum_where(active, service=service),
+            "queued": _sum_where(queued, service=service),
+        }
+        for service in services
+    ]
+
+
 def daemon_table(by_name) -> List[dict]:
     rpcs = by_name.get("repro_daemon_rpcs_total", [])
     failed = by_name.get("repro_daemon_rpcs_failed_total", [])
@@ -309,6 +360,31 @@ def render_report(payload: str, top: int = 10) -> str:
             )
     else:
         lines.append("(no breaker gauges in payload)")
+
+    lines.append("")
+    lines.append("== Admission tier ==")
+    lines.append(tier_line(by_name))
+    lines.extend(transition_lines(by_name))
+
+    lines.append("")
+    lines.append("== Rejections by reason ==")
+    rejections = rejection_table(by_name)
+    for reason in REJECT_REASONS:
+        lines.append(f"{reason:<10} {rejections[reason]:>8.0f}")
+    lines.append(f"{'total':<10} {sum(rejections.values()):>8.0f}")
+
+    lines.append("")
+    lines.append("== Bulkheads ==")
+    bulkheads = bulkhead_table(by_name)
+    if bulkheads:
+        lines.append(f"{'service':<16} {'active':>7} {'queued':>7}")
+        for row in bulkheads:
+            lines.append(
+                f"{row['service']:<16} {row['active']:>7.0f} "
+                f"{row['queued']:>7.0f}"
+            )
+    else:
+        lines.append("(no bulkhead gauges in payload)")
 
     daemons = daemon_table(by_name)
     if daemons:
