@@ -147,7 +147,7 @@ REFRESH_RESULTS = (
     "error",  # background refresh raised; entry left as-is
     "rejected",  # worker-pool queue full; refresh dropped
     "paused",  # refresh gate closed (brownout/shed); nothing enqueued
-    "superseded",  # refresh finished after the key was invalidated; discarded
+    "superseded",  # refresh finished after the key was deleted/cleared; discarded
 )
 
 
@@ -312,10 +312,10 @@ class TTLCache:
         #: write counter stamped onto every stored entry (under the lock),
         #: so (key, generation) uniquely names one stored value
         self._generation = 0
-        #: per-key invalidation epoch: bumped by delete/clear/invalidate.
-        #: Compute paths snapshot the epoch before running and store
-        #: through :meth:`_write_if_current`, so a value computed against
-        #: pre-invalidation state can never resurrect a removed key.
+        #: per-key removal epoch: bumped by delete/clear.  Compute paths
+        #: snapshot the epoch before running and store through
+        #: :meth:`_write_if_current`, so a value computed before the key
+        #: was removed can never resurrect it.
         self._epochs: Dict[str, int] = {}
         self._expiry_heap: List[Tuple[float, str]] = []
         self._inflight: Dict[str, _InFlight] = {}
@@ -358,8 +358,8 @@ class TTLCache:
         self._served_refreshing.inc(0.0, source="default")
         self._stale_write_skipped = self.metrics.counter(
             "repro_cache_stale_writes_skipped_total",
-            "Computed values discarded because the key was invalidated "
-            "mid-compute (epoch moved between snapshot and store).",
+            "Computed values discarded because the key was deleted or "
+            "cleared mid-compute (epoch moved between snapshot and store).",
             ("source",),
         )
         self._stale_write_skipped.inc(0.0, source="default")
@@ -547,8 +547,8 @@ class TTLCache:
             raise
         # store before resolving so late followers and new arrivals see
         # the fresh entry the moment they stop being coalesced — unless
-        # the key was invalidated mid-compute, in which case storing would
-        # resurrect a value computed against pre-invalidation state
+        # the key was deleted or cleared mid-compute, in which case
+        # storing would resurrect a value computed before the removal
         self._write_if_current(key, value, ttl, epoch)
         result = "expired" if had_expired else "miss"
         self._count(key, result)
@@ -661,7 +661,7 @@ class TTLCache:
             entry = self._entries.get(key)
             now = self.clock.now()
             # re-snapshot: an independent compute below starts *now*, so
-            # only invalidations landing after this point should fence it
+            # only removals landing after this point should fence it
             epoch = self._epochs.get(key, 0)
         if entry is not None:
             if entry.is_fresh(now):
@@ -729,17 +729,12 @@ class TTLCache:
             self._rebuild_heap()
         self._sync_gauges_locked()
 
-    def epoch_of(self, key: str) -> int:
-        """The key's current invalidation epoch (0 until first removal)."""
-        with self._lock:
-            return self._epochs.get(key, 0)
-
     def _write_if_current(
         self, key: str, value: Any, ttl: Optional[float], epoch: int
     ) -> bool:
-        """Store ``value`` only if ``key`` has not been invalidated since
-        ``epoch`` was snapshotted; the check and the store share one lock
-        hold, so an invalidation can never slip between them.  Returns
+        """Store ``value`` only if ``key`` has not been deleted or cleared
+        since ``epoch`` was snapshotted; the check and the store share one
+        lock hold, so a removal can never slip between them.  Returns
         whether the value was stored."""
         with self._lock:
             if self._epochs.get(key, 0) != epoch:
@@ -754,9 +749,9 @@ class TTLCache:
         Followers wake immediately (instead of waiting out their full
         budget on a leader for a key that no longer exists) and treat the
         flight as leaderless.  The leader itself is unaware: its eventual
-        ``_resolve`` is a no-op (identity mismatch) and its ``write``
-        may re-store the key — the same benign race an uncoalesced
-        delete-during-compute always had.
+        ``_resolve`` is a no-op (identity mismatch), and its store is
+        discarded by :meth:`_write_if_current` because the caller bumped
+        the key's epoch, so the removed key is never re-stored.
         """
         flight = self._inflight.pop(key, None)
         if flight is not None:
@@ -775,26 +770,6 @@ class TTLCache:
             self._cancel_flight_locked(key)
             if existed:
                 self._purged.inc(source=_source_of(key), reason="deleted")
-            self._sync_gauges_locked()
-            return existed
-
-    def invalidate(self, key: str) -> bool:
-        """Event-driven removal: drop the entry *and* bump the key's
-        epoch, so a compute already in flight for it cannot store its
-        (pre-invalidation) result afterwards.  Returns True if an entry
-        existed.
-
-        This is what the materialized-view hub calls when a
-        :class:`~repro.sim.bus.StateChange` covers a cached key: the next
-        request recomputes from post-change state — no TTL wait, no
-        stale-value resurrection, no stranded
-        ``repro_cache_inflight_keys``."""
-        with self._lock:
-            existed = self._entries.pop(key, None) is not None
-            self._epochs[key] = self._epochs.get(key, 0) + 1
-            self._cancel_flight_locked(key)
-            if existed:
-                self._purged.inc(source=_source_of(key), reason="invalidated")
             self._sync_gauges_locked()
             return existed
 
@@ -861,19 +836,6 @@ class TTLCache:
             return len(stale)
 
 
-#: data sources whose cache entries the event-driven materialized-view
-#: hub (:mod:`repro.core.views`) keeps current: scheduler state changes
-#: invalidate and re-materialize them, so their TTLs become a fallback
-VIEW_SOURCES = (
-    "squeue",
-    "sinfo",
-    "scontrol_node",
-    "scontrol_job",
-    "scontrol_assoc",
-    "sacct",
-)
-
-
 @dataclass(frozen=True)
 class CachePolicy:
     """Per-data-source TTLs (seconds), as chosen in the paper §2.4/§3.
@@ -916,16 +878,6 @@ class CachePolicy:
     #: wall/simulated budget for one background revalidation — short, so
     #: a sick daemon fails a refresh fast instead of pinning pool workers
     refresh_deadline_s: float = 5.0
-    #: event-driven materialized views master switch: when True the hub in
-    #: :mod:`repro.core.views` subscribes to the cluster's state-change
-    #: bus, invalidates covered keys on each change, and re-materializes
-    #: them on scheduler passes — TTLs for :data:`VIEW_SOURCES` are then a
-    #: fallback, not the freshness mechanism
-    event_views: bool = False
-    #: how far the serving TTL for view-managed sources is stretched when
-    #: :attr:`event_views` is on (events keep entries correct; the long
-    #: TTL only bounds staleness if the bus ever goes quiet)
-    view_ttl_factor: float = 20.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.soft_ttl_fraction <= 1.0):
@@ -936,26 +888,10 @@ class CachePolicy:
             raise ValueError(
                 f"refresh_deadline_s must be positive: {self.refresh_deadline_s}"
             )
-        if self.view_ttl_factor < 1.0:
-            raise ValueError(
-                f"view_ttl_factor must be >= 1: {self.view_ttl_factor}"
-            )
 
     def ttl_for(self, source: str) -> float:
         """TTL (seconds) for a named data source; unknown sources get the default."""
         return float(getattr(self, source, self.default))
-
-    def serve_ttl_for(self, source: str) -> float:
-        """The TTL actually stored with a cache entry.
-
-        Equal to :meth:`ttl_for` normally; for view-managed sources under
-        :attr:`event_views` the base TTL is stretched by
-        :attr:`view_ttl_factor` — events keep those entries correct, so
-        the TTL is demoted to a staleness backstop."""
-        ttl = self.ttl_for(source)
-        if self.event_views and source in VIEW_SOURCES:
-            return ttl * self.view_ttl_factor
-        return ttl
 
     def timeout_for(self, source: str) -> float:
         """Latency budget (seconds) for one fetch of a named data source."""
@@ -972,10 +908,6 @@ class CachePolicy:
         expiries.
         """
         if not self.refresh_ahead:
-            return None
-        if self.event_views and source in VIEW_SOURCES:
-            # the view hub re-materializes these on scheduler passes;
-            # refresh-ahead on top would double every backend RPC
             return None
         base = self.ttl_for(source) if ttl is None else float(ttl)
         return self.soft_ttl_fraction * base

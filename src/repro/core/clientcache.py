@@ -141,10 +141,6 @@ class ClientCache:
         self.background_refreshes = 0
         #: revalidations the server answered 304 (payload unchanged)
         self.not_modified = 0
-        #: delta revalidations (``?since=<cursor>``) that merged partial
-        #: responses instead of refetching the whole payload
-        self.delta_refreshes = 0
-        self.delta_records_applied = 0
 
     def _recreate_store(self, db: IndexedDBStore) -> None:
         if not db.has_store(self.STORE):
@@ -241,62 +237,6 @@ class ClientCache:
         return FetchOutcome(
             value=value, served_from="network", age_s=0.0, revalidated=False
         )
-
-    def fetch_delta(
-        self,
-        key: str,
-        fetch_delta: Callable[[Optional[int]], Dict[str, Any]],
-        max_age_s: float = 30.0,
-    ) -> FetchOutcome:
-        """:meth:`fetch` over a cursor'd delta endpoint (``?since=``).
-
-        ``fetch_delta(since)`` must return the view-route payload:
-        ``{"cursor": int, "full": bool, "records": [{"key": ..., ...}],
-        "removed": [...]}``.  The cache stores the merged record map plus
-        the cursor; a stale hit revalidates with ``since=<stored cursor>``
-        so only changed records cross the wire, and the merge is applied
-        in the background while the user sees the cached copy.
-        """
-        self._ensure_store()
-        now = self.clock.now()
-        rec = self.db.get(self.STORE, key)
-        if rec is not None:
-            age = now - rec.stored_at
-            if age <= max_age_s:
-                self.instant_renders += 1
-                return FetchOutcome(
-                    value=rec.value, served_from="client-cache", age_s=age,
-                    revalidated=False,
-                )
-            # stale: render the cached snapshot, merge the delta behind it
-            self.instant_renders += 1
-            self.background_refreshes += 1
-            self.delta_refreshes += 1
-            state = dict(rec.value)
-            payload = fetch_delta(state.get("cursor"))
-            merged = self._apply_delta(state, payload)
-            self.db.put(self.STORE, key, merged, self.clock.now())
-            return FetchOutcome(
-                value=rec.value, served_from="client-cache", age_s=age,
-                revalidated=True,
-            )
-        self.network_waits += 1
-        payload = fetch_delta(None)
-        state = self._apply_delta({"cursor": None, "records": {}}, payload)
-        self.db.put(self.STORE, key, state, self.clock.now())
-        return FetchOutcome(
-            value=state, served_from="network", age_s=0.0, revalidated=False
-        )
-
-    def _apply_delta(self, state: Dict[str, Any], payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Merge one delta response into the stored ``{cursor, records}``."""
-        records: Dict[str, Any] = {} if payload.get("full") else dict(state.get("records") or {})
-        for item in payload.get("records") or ():
-            records[str(item["key"])] = item
-            self.delta_records_applied += 1
-        for gone in payload.get("removed") or ():
-            records.pop(str(gone), None)
-        return {"cursor": payload.get("cursor"), "records": records}
 
     def invalidate(self, key: str) -> bool:
         """Drop one cached response; returns True if it existed."""

@@ -39,7 +39,6 @@ from .pages.homepage import (
     stream_homepage,
 )
 from .routes import DashboardContext, RouteRegistry, RouteResponse
-from .views import VIEW_ROUTES
 from .widgets import ALL_WIDGET_ROUTES
 
 
@@ -88,9 +87,7 @@ class Dashboard:
             cache_max_entries=cache_max_entries,
         )
         self.registry = RouteRegistry()
-        for route in (
-            *ALL_WIDGET_ROUTES, *ALL_PAGE_ROUTES, *VIEW_ROUTES, EXPORT_ROUTE
-        ):
+        for route in (*ALL_WIDGET_ROUTES, *ALL_PAGE_ROUTES, EXPORT_ROUTE):
             self.registry.register(route)
 
     # -- request API ---------------------------------------------------------
@@ -173,8 +170,6 @@ class Dashboard:
                 "admin_overview",
                 "news_page",
                 "my_sessions",
-                "jobs_view",
-                "nodes_view",
             ):
                 continue  # Table 1 lists exactly the paper's ten features
             rows.append(

@@ -483,25 +483,6 @@ class DashboardContext:
         self._sinfo = Sinfo(cluster)
         self._sacct = Sacct(cluster)
         self._scontrol = Scontrol(cluster)
-        # event-driven views: the materializer subscribes to the cluster
-        # bus, turns StateChanges into targeted invalidations, and
-        # re-materializes learned entries on every scheduler pass (local
-        # import: views imports ApiRoute from this module)
-        from .views import DeltaView, ViewMaterializer, ViewMetrics
-
-        self.view_metrics = ViewMetrics(self.obs.registry)
-        self.delta_views = {"jobs": DeltaView("jobs"), "nodes": DeltaView("nodes")}
-        self.views: Optional[ViewMaterializer] = None
-        self._bus_unsubscribe: Optional[Callable[[], None]] = None
-        if self.cache_policy.event_views and use_server_cache:
-            self.views = ViewMaterializer(
-                cache=self.cache,
-                policy=self.cache_policy,
-                metrics=self.view_metrics,
-                tracer=self.obs.tracer,
-                clock=cluster.clock,
-            )
-            self._bus_unsubscribe = cluster.bus.subscribe(self.views.on_change)
 
     @property
     def clock(self):
@@ -661,10 +642,6 @@ class DashboardContext:
             for scope in self._scope_stack():
                 scope.mark_uncacheable()
             return compute()
-        if self.views is not None:
-            # teach the materializer how to recompute this entry so it can
-            # re-materialize it at the next scheduler pass
-            self.views.learn(source, key, compute)
         with self.obs.tracer.span(
             f"cache:{source}", kind="cache", attrs={"key": key}
         ) as span:

@@ -364,9 +364,7 @@ class ResilientFetcher:
         """
         service = service_for_source(source)
         full_key = f"{source}:{key}"
-        # serve_ttl_for == ttl_for unless event-driven views manage this
-        # source, in which case the TTL is stretched to a fallback role
-        ttl = self.policy.serve_ttl_for(source)
+        ttl = self.policy.ttl_for(source)
         if self.controller is not None:
             # brownout tiers stretch freshness instead of querying backends
             ttl *= self.controller.ttl_multiplier()

@@ -17,7 +17,6 @@ from .generator import (
     percentile,
     run_scenario,
     run_suite,
-    views_ab,
 )
 from .report import diff, load_bench, summarize, validate_bench, write_bench
 from .scaleout import run_fleet_side, scaleout_ab, transparency_check
@@ -60,6 +59,5 @@ __all__ = [
     "transparency_check",
     "user_population",
     "validate_bench",
-    "views_ab",
     "write_bench",
 ]

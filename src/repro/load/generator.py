@@ -410,134 +410,16 @@ def delivery_ab(
     }
 
 
-# -- event-driven views: TTL-poll vs event-invalidation A/B -------------------
-
-
-def views_ab(
-    *,
-    seed: int = 77,
-    user: str = "alice",
-    advance_s: float = 120.0,
-    routes: Sequence[str] = (
-        "/api/v1/views/jobs",
-        "/api/v1/views/nodes",
-        "/api/v1/cluster_status",
-        "/api/v1/widgets/recent_jobs",
-        "/api/v1/widgets/system_status",
-    ),
-) -> Dict[str, Any]:
-    """The BENCH file's ``views`` section.
-
-    Two dashboards over the same seeded world, differing only in
-    ``CachePolicy.event_views``.  Both warm up, both advance
-    ``advance_s`` of sim time (long past every view-source TTL), then
-    the same routes are fetched with the clock frozen:
-
-    * **poll** pays the expired TTLs with on-request ctld/dbd RPCs;
-    * **event** serves entirely from materialized views (zero RPCs),
-      with every response byte-identical to the poll path;
-    * a job submitted with *no* clock advance shows up on the very next
-      ``?since=`` fetch, and the delta carries only the changed records
-      (the recorded byte savings vs a full snapshot).
-    """
-    import json as _json
-
-    from repro.slurm.model import JobSpec, TRES
-
-    viewer = Viewer(username=user)
-
-    def bodies(dash) -> List[bytes]:
-        batch = []
-        for path in routes:
-            resp = dash.get(path, viewer)
-            if not resp.ok:
-                raise RuntimeError(f"{path} failed in views A/B: {resp.error}")
-            batch.append(
-                _json.dumps(resp.to_json(), sort_keys=True).encode()
-            )
-        return batch
-
-    modes: Dict[str, Dict[str, Any]] = {}
-    measured: Dict[str, List[bytes]] = {}
-    dashboards = {}
-    for mode, event_views in (("poll", False), ("event", True)):
-        dash, _directory, _ = build_demo_dashboard(
-            seed=seed, cache_policy=CachePolicy(event_views=event_views)
-        )
-        dashboards[mode] = dash
-        bodies(dash)  # warm caches; in event mode this teaches the hub
-        dash.ctx.cluster.advance(advance_s)
-        if dash.ctx.views is not None:
-            # what the scheduler pass at the measurement instant does:
-            # re-materialize every learned view at exactly now()
-            dash.ctx.views.flush()
-        before = dash.ctx.cluster.daemons.rpc_totals()
-        measured[mode] = bodies(dash)
-        after = dash.ctx.cluster.daemons.rpc_totals()
-        rpcs = sum(after.values()) - sum(before.values())
-        modes[mode] = {
-            "on_request_rpcs": rpcs,
-            "rpcs_per_request": round(rpcs / len(routes), 4),
-        }
-
-    # event-reflection + delta economy, on the event dashboard only
-    # (its state diverges from the poll world past this point)
-    event_dash = dashboards["event"]
-    full_resp = event_dash.get("/api/v1/views/jobs", viewer)
-    cursor = full_resp.data["cursor"]
-    full_bytes = len(_json.dumps(full_resp.to_json(), sort_keys=True))
-    scheduler = event_dash.ctx.cluster.scheduler
-    default_part = next(
-        p.name for p in scheduler.partitions.values() if p.is_default
-    )
-    account = event_dash.ctx.directory.account_names_of(user)[0]
-    [probe] = event_dash.ctx.cluster.submit(
-        JobSpec(
-            name="views-ab-probe", user=user, account=account,
-            partition=default_part,
-            req=TRES(cpus=1, mem_mb=512, nodes=1),
-            time_limit=600.0, actual_runtime=300.0,
-        )
-    )
-    # NO clock advance: only the event path can surface this job now
-    delta_resp = event_dash.get(
-        "/api/v1/views/jobs", viewer, {"since": cursor}
-    )
-    delta_bytes = len(_json.dumps(delta_resp.to_json(), sort_keys=True))
-    reflected = (
-        not delta_resp.data["full"]
-        and probe.job_id in [r["job_id"] for r in delta_resp.data["records"]]
-    )
-    return {
-        "seed": seed,
-        "advance_s": advance_s,
-        "routes": list(routes),
-        "poll": modes["poll"],
-        "event": modes["event"],
-        "responses_identical": measured["poll"] == measured["event"],
-        "reflects_event_without_ttl": reflected,
-        "delta": {
-            "since_cursor": cursor,
-            "full_bytes": full_bytes,
-            "delta_bytes": delta_bytes,
-            "bytes_saved": full_bytes - delta_bytes,
-            "records_changed": len(delta_resp.data["records"])
-            + len(delta_resp.data["removed"]),
-        },
-    }
-
-
 def run_suite(
     scenarios: Sequence[Scenario],
     *,
     smoke: bool = False,
     include_delivery: bool = True,
-    include_views: bool = True,
     include_federation: bool = True,
     include_scaleout: bool = True,
     progress: Optional[Any] = None,
 ) -> Dict[str, Any]:
-    """Run scenarios plus the delivery, views, federation and scale-out
+    """Run scenarios plus the delivery, federation and scale-out
     comparisons into one BENCH doc."""
     records = []
     for scenario in scenarios:
@@ -555,10 +437,6 @@ def run_suite(
         if progress is not None:
             progress("HTTP delivery A/B ...")
         doc["delivery"] = delivery_ab()
-    if include_views:
-        if progress is not None:
-            progress("event-driven views A/B ...")
-        doc["views"] = views_ab()
     if include_federation:
         if progress is not None:
             progress("federation A/B (1 vs 3 clusters, one killed) ...")

@@ -117,23 +117,6 @@ def validate_bench(doc: Any) -> List[str]:
                               "degraded_responses", "member_cache"):
                     if field not in federation.get(side, {}):
                         errors.append(f"federation: {side} missing {field!r}")
-    views = doc.get("views")
-    if views is not None:
-        if not isinstance(views, dict):
-            errors.append("views must be an object")
-        else:
-            for field in ("routes", "poll", "event", "responses_identical",
-                          "reflects_event_without_ttl", "delta"):
-                if field not in views:
-                    errors.append(f"views: missing field {field!r}")
-            for mode in ("poll", "event"):
-                for field in ("on_request_rpcs", "rpcs_per_request"):
-                    if field not in views.get(mode, {}):
-                        errors.append(f"views: {mode} missing {field!r}")
-            for field in ("full_bytes", "delta_bytes", "bytes_saved",
-                          "records_changed"):
-                if field not in views.get("delta", {}):
-                    errors.append(f"views: delta missing {field!r}")
     scaleout = doc.get("scaleout")
     if scaleout is not None:
         if not isinstance(scaleout, dict):
@@ -237,23 +220,6 @@ def summarize(doc: Dict[str, Any]) -> str:
             f"degraded-detail 200s: {fd['degraded_responses']}  "
             f"healthy hit-rate delta vs baseline: "
             f"{federation['healthy_hit_rate_delta'] * 100:.1f}pp"
-        )
-    views = doc.get("views")
-    if views:
-        delta = views["delta"]
-        lines.append("")
-        lines.append("event-driven views (TTL-poll vs event-invalidation):")
-        lines.append(
-            f"  rpc/rq poll={views['poll']['rpcs_per_request']:.2f} "
-            f"event={views['event']['rpcs_per_request']:.2f}  "
-            f"responses identical: {views['responses_identical']}  "
-            f"reflects event pre-TTL: {views['reflects_event_without_ttl']}"
-        )
-        lines.append(
-            f"  ?since= delta: {delta['full_bytes']} -> "
-            f"{delta['delta_bytes']} bytes "
-            f"(saved {delta['bytes_saved']}, "
-            f"{delta['records_changed']} records changed)"
         )
     scaleout = doc.get("scaleout")
     if scaleout:
@@ -361,16 +327,6 @@ def diff(old: Dict[str, Any], new: Dict[str, Any]) -> str:
             f"{new_fd['healthy_hit_rate_delta']:.3f}, unexpected 5xx: "
             f"{old_fd['federated']['unexpected_5xx']} -> "
             f"{new_fd['federated']['unexpected_5xx']}"
-        )
-    old_vw = old.get("views")
-    new_vw = new.get("views")
-    if old_vw and new_vw:
-        lines.append(
-            f"views event rpc/rq: "
-            f"{old_vw['event']['rpcs_per_request']:.2f} -> "
-            f"{new_vw['event']['rpcs_per_request']:.2f}, "
-            f"delta bytes saved: {old_vw['delta']['bytes_saved']} -> "
-            f"{new_vw['delta']['bytes_saved']}"
         )
     old_so = old.get("scaleout")
     new_so = new.get("scaleout")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.sim.bus import EventBus
 from repro.sim.clock import SimClock
 from repro.sim.events import EventLoop
 
@@ -100,9 +99,6 @@ class SlurmCluster:
         self.clock = self.loop.clock
         self.accounting = AccountingDatabase()
         self.daemons = DaemonBus(self.clock)
-        #: typed state-change stream the serving layer subscribes to for
-        #: event-driven cache invalidation and materialized views
-        self.bus = EventBus(self.clock)
         self.gpu_telemetry = GpuTelemetry()
 
         nodes: List[Node] = []
@@ -139,7 +135,6 @@ class SlurmCluster:
             associations=spec.associations,
             config=spec.scheduler,
             on_job_end=self._on_job_end,
-            bus=self.bus,
         )
 
     def _on_job_end(self, job: Job) -> None:

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.sim.bus import EventBus
 from repro.sim.events import EventLoop
 
 from . import reasons as R
@@ -88,12 +87,9 @@ class SlurmScheduler:
         associations: Sequence[Association] = (),
         config: Optional[SchedulerConfig] = None,
         on_job_end: Optional[Callable[[Job], None]] = None,
-        bus: Optional[EventBus] = None,
     ):
         self.loop = loop
         self.clock = loop.clock
-        #: optional state-change bus; None keeps the scheduler standalone
-        self.bus = bus
         self.config = config or SchedulerConfig()
         self.nodes: Dict[str, Node] = {}
         for n in nodes:
@@ -187,13 +183,6 @@ class SlurmScheduler:
             self._pending.append(job.job_id)
             created.append(job)
             self.stats["submitted"] += 1
-            if self.bus is not None:
-                self.bus.publish(
-                    "job_submitted",
-                    job_id=job.job_id,
-                    user=spec.user,
-                    account=spec.account,
-                )
         self.schedule_pass()
         return created
 
@@ -389,10 +378,6 @@ class SlurmScheduler:
                     break
         finally:
             self._in_pass = False
-        if self.bus is not None:
-            # published once per *outer* pass, after the queue quiesced —
-            # the materialized-view hub uses this as its flush trigger
-            self.bus.publish("sched_pass", detail=str(started))
         return started
 
     def _schedule_pass_once(self) -> int:
@@ -777,8 +762,6 @@ class SlurmScheduler:
         node = self.node(name)
         victims = [self.jobs[jid] for jid in list(node.running_job_ids)]
         node.set_down(reason)
-        if self.bus is not None:
-            self.bus.publish("node_state", nodes=(name,), detail=reason)
         for job in victims:
             info = self._running[job.job_id]
             if info.finish_handle is not None:
@@ -835,14 +818,6 @@ class SlurmScheduler:
         usage.alloc = usage.alloc + job.req
         usage.running_jobs += 1
         self.stats["started"] += 1
-        if self.bus is not None:
-            self.bus.publish(
-                "job_started",
-                job_id=job.job_id,
-                user=job.user,
-                account=job.account,
-                nodes=tuple(job.nodes),
-            )
 
     def _end_job(self, job: Job, final_state: JobState, exit_code: int) -> None:
         now = self.clock.now()
@@ -873,15 +848,6 @@ class SlurmScheduler:
         self._outcomes[job.job_id] = job.state
         if self._on_job_end is not None:
             self._on_job_end(job.clone())
-        if self.bus is not None:
-            self.bus.publish(
-                "job_ended",
-                job_id=job.job_id,
-                user=job.user,
-                account=job.account,
-                nodes=tuple(job.nodes),
-                detail=job.state.value,
-            )
         self._purge_queue.append(
             (self.clock.now() + self.config.min_job_age, job.job_id)
         )

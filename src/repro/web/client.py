@@ -197,42 +197,6 @@ class BrowserClient:
         self.loads.append(load)
         return load
 
-    def load_delta(
-        self,
-        name: str,
-        path: str,
-        params: Optional[Dict[str, Any]] = None,
-        max_age_s: float = 30.0,
-    ) -> WidgetLoad:
-        """Load a cursor'd delta view (``/api/v1/views/*``).
-
-        Fresh client-cache state renders instantly like :meth:`load`;
-        a stale entry revalidates with ``?since=<stored cursor>``, so the
-        wire carries only the records changed past the cursor and the
-        client folds them into its stored record map."""
-        params = dict(params or {})
-        params.pop("since", None)  # the cursor comes from the client cache
-        key = path + "?" + json.dumps(params, sort_keys=True)
-
-        def fetch_delta(cursor: Optional[int]) -> Dict[str, Any]:
-            q = dict(params)
-            if cursor is not None:
-                q["since"] = cursor
-            return self.transport.get(path, q)
-
-        outcome: FetchOutcome = self.cache.fetch_delta(
-            key, fetch_delta=fetch_delta, max_age_s=max_age_s
-        )
-        load = WidgetLoad(
-            name=name,
-            data=outcome.value,
-            served_from=outcome.served_from,
-            age_s=outcome.age_s,
-            revalidated=outcome.revalidated,
-        )
-        self.loads.append(load)
-        return load
-
     def open_homepage(self, manifest: Dict[str, Any]) -> List[WidgetLoad]:
         """Load every widget listed in the homepage manifest (the real
         frontend fires these fetches concurrently on page load)."""

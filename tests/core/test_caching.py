@@ -115,7 +115,15 @@ class TestDirectAccess:
     def test_delete(self, cache):
         cache.write("k", 1)
         assert cache.delete("k") is True
+        assert cache.entry("k") is None
         assert cache.delete("k") is False
+        # the next fetch recomputes instead of serving the deleted value
+        assert cache.fetch("k", lambda: 2) == 2
+        cache.delete("k")
+        # the epoch fence guards compute paths only: a plain write after
+        # a delete stores normally
+        cache.write("k", 3)
+        assert cache.read("k") == 3
 
     def test_clear_and_len(self, cache):
         cache.write("a", 1)

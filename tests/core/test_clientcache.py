@@ -158,63 +158,3 @@ class TestUpgradeRecreatesStore:
         # the hook recreated the store immediately, even before any access
         assert db.has_store(ClientCache.STORE)
         assert db.count(ClientCache.STORE) == 0
-
-
-class TestFetchDelta:
-    def _payload(self, cursor, records, removed=(), full=False):
-        return {
-            "view": "jobs", "cursor": cursor, "full": full,
-            "records": [{"key": k, "v": v} for k, v in records],
-            "removed": list(removed),
-        }
-
-    def test_first_fetch_stores_full_snapshot(self, clock):
-        cc = ClientCache(clock)
-        calls = []
-
-        def fetch(since):
-            calls.append(since)
-            return self._payload(3, [("1", "a"), ("2", "b")], full=True)
-
-        out = cc.fetch_delta("jobs", fetch)
-        assert calls == [None]
-        assert out.served_from == "network"
-        assert out.value["cursor"] == 3
-        assert set(out.value["records"]) == {"1", "2"}
-
-    def test_stale_revalidation_sends_cursor_and_merges(self, clock):
-        cc = ClientCache(clock)
-        cc.fetch_delta(
-            "jobs",
-            lambda since: self._payload(3, [("1", "a"), ("2", "b")], full=True),
-            max_age_s=30,
-        )
-        clock.advance(100)
-        calls = []
-
-        def fetch(since):
-            calls.append(since)
-            return self._payload(5, [("2", "b2"), ("4", "d")], removed=["1"])
-
-        out = cc.fetch_delta("jobs", fetch, max_age_s=30)
-        assert calls == [3]          # revalidated from the stored cursor
-        assert out.revalidated
-        # the merged state is what the next fresh read serves
-        nxt = cc.fetch_delta("jobs", lambda s: pytest.fail("fresh"), max_age_s=30)
-        recs = nxt.value["records"]
-        assert nxt.value["cursor"] == 5
-        assert set(recs) == {"2", "4"}
-        assert recs["2"]["v"] == "b2"
-        assert cc.delta_refreshes == 1
-        assert cc.delta_records_applied == 4  # 2 full + 2 delta
-
-    def test_full_response_replaces_state(self, clock):
-        cc = ClientCache(clock)
-        cc.fetch_delta(
-            "jobs", lambda s: self._payload(2, [("1", "a")], full=True))
-        clock.advance(100)
-        cc.fetch_delta(
-            "jobs", lambda s: self._payload(9, [("7", "z")], full=True),
-            max_age_s=30)
-        out = cc.fetch_delta("jobs", lambda s: pytest.fail("fresh"), max_age_s=30)
-        assert set(out.value["records"]) == {"7"}

@@ -31,6 +31,10 @@ def refresh_total(cache, result):
     return cache.metrics.total("repro_cache_refresh_ahead_total", result=result)
 
 
+def stale_writes_skipped(cache):
+    return cache.metrics.total("repro_cache_stale_writes_skipped_total")
+
+
 class TestSoftTTLBoundary:
     def test_below_soft_ttl_does_not_arm(self, cache, clock):
         captured = captured_runner(cache)
@@ -267,18 +271,29 @@ class TestDeleteClearCancellation:
         assert cache.metrics.get("repro_cache_inflight_keys").value() == 0
         release.set()
         leader.join(timeout=5.0)
+        assert not leader.is_alive()
+        # the follower computed after the delete, so its value is the one
+        # stored; the cancelled leader's older value is discarded
+        assert cache.read("k") == "follower-computed"
 
     def test_delete_reconciles_inflight_gauge(self, cache):
-        release, leader, _ = self._start_leader(cache, "k")
+        release, leader, outcome = self._start_leader(cache, "k")
         assert cache.metrics.get("repro_cache_inflight_keys").value() == 1
         cache.delete("k")
         assert cache.metrics.get("repro_cache_inflight_keys").value() == 0
         release.set()
         leader.join(timeout=5.0)
+        assert not leader.is_alive()
+        # the leader still gets its value, but the epoch fence stops it
+        # from resurrecting the key deleted mid-compute
+        assert outcome == {"value": "computed"}
+        assert cache.entry("k") is None
+        assert stale_writes_skipped(cache) == 1
+        assert cache.metrics.get("repro_cache_inflight_keys").value() == 0
 
     def test_clear_cancels_every_flight(self, cache):
-        rel_a, t_a, _ = self._start_leader(cache, "a")
-        rel_b, t_b, _ = self._start_leader(cache, "b")
+        rel_a, t_a, out_a = self._start_leader(cache, "a")
+        rel_b, t_b, out_b = self._start_leader(cache, "b")
         assert cache.metrics.get("repro_cache_inflight_keys").value() == 2
         cache.clear()
         assert cache.metrics.get("repro_cache_inflight_keys").value() == 0
@@ -286,6 +301,11 @@ class TestDeleteClearCancellation:
         rel_b.set()
         t_a.join(timeout=5.0)
         t_b.join(timeout=5.0)
+        assert not t_a.is_alive() and not t_b.is_alive()
+        assert out_a == out_b == {"value": "computed"}
+        # neither leader re-stores the key cleared under it
+        assert cache.entry("a") is None and cache.entry("b") is None
+        assert stale_writes_skipped(cache) == 2
 
     def test_delete_cancels_armed_refresh_marker(self, cache, clock):
         captured = captured_runner(cache)
@@ -295,9 +315,12 @@ class TestDeleteClearCancellation:
         assert cache.metrics.get("repro_cache_inflight_keys").value() == 1
         cache.delete("k")
         assert cache.metrics.get("repro_cache_inflight_keys").value() == 0
-        # the queued refresh still runs to completion harmlessly
+        # the queued refresh still runs to completion, but its value was
+        # computed before the delete, so the epoch fence discards it
         captured[0]()
-        assert cache.read("k") == "y" or cache.read("k") is None
+        assert cache.entry("k") is None
+        assert refresh_total(cache, "superseded") == 1
+        assert cache.metrics.get("repro_cache_inflight_keys").value() == 0
 
 
 class TestCachePolicySoftTTL:

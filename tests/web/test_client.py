@@ -118,59 +118,3 @@ class TestHttpTransport:
                 "/api/v1/job_overview", {"job_id": jobs["private"].job_id}
             )
             assert data["header"]["name"] == "secret"
-
-
-class TestLoadDelta:
-    """The delta views over the browser client: stale revisits carry
-    only the records changed past the stored cursor."""
-
-    def test_first_load_stores_full_snapshot(self, client_world):
-        _, client, transport = client_world
-        load = client.load_delta("jobs", "/api/v1/views/jobs")
-        assert load.served_from == "network"
-        # the client keeps the merged {cursor, records} state
-        assert load.data["cursor"] >= 1
-        assert load.data["records"]  # the world has live jobs
-        assert transport.requests == 1
-
-    def test_fresh_revisit_is_instant(self, client_world, dash):
-        _, client, transport = client_world
-        client.load_delta("jobs", "/api/v1/views/jobs", max_age_s=30.0)
-        dash.clock.advance(5)
-        load = client.load_delta("jobs", "/api/v1/views/jobs", max_age_s=30.0)
-        assert load.served_from == "client-cache"
-        assert transport.requests == 1
-
-    def test_stale_revisit_fetches_only_the_delta(self, client_world, dash):
-        cluster = dash.ctx.cluster
-        _, client, transport = client_world
-        first = client.load_delta("jobs", "/api/v1/views/jobs", max_age_s=30.0)
-        baseline = set(first.data["records"])
-        dash.clock.advance(60)  # client entry and server TTL both lapse
-        from tests.conftest import simple_spec
-
-        [new_job] = cluster.submit(
-            simple_spec(name="delta_probe", user="alice",
-                        account="physics-lab", cpus=1, mem_mb=100,
-                        actual_runtime=60)
-        )
-        load = client.load_delta("jobs", "/api/v1/views/jobs", max_age_s=30.0)
-        assert load.served_from == "client-cache"  # stale-while-revalidate
-        assert load.revalidated
-        assert client.cache.delta_refreshes == 1
-        # the merged record map now includes the new job
-        merged = client.cache.db.get(
-            "api-responses", "/api/v1/views/jobs?{}"
-        ).value
-        assert str(new_job.job_id) in merged["records"]
-        assert baseline <= set(merged["records"])
-
-    def test_over_http(self, dash):
-        from repro.web.server import DashboardServer
-
-        with DashboardServer(dash) as server:
-            transport = HttpTransport(server.url, username="alice")
-            client = BrowserClient(transport, dash.clock)
-            load = client.load_delta("nodes", "/api/v1/views/nodes")
-            assert load.served_from == "network"
-            assert load.data["records"]

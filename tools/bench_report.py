@@ -5,8 +5,8 @@ Subcommands::
 
     python tools/bench_report.py run [--out BENCH_load.json] [--smoke]
         Replay the default scenario suite (steady_state, burst,
-        fault_window) plus the delivery, views, federation and
-        scale-out comparisons, and write the schema'd BENCH document.  ``--smoke`` (or the
+        fault_window) plus the delivery, federation and scale-out
+        comparisons, and write the schema'd BENCH document.  ``--smoke`` (or the
         ``LOAD_SMOKE=1`` environment variable) shrinks populations and
         durations for CI.  If the output file already exists, the
         trajectory diff against the previous run is printed.
@@ -54,7 +54,6 @@ def _cmd_run(opts: argparse.Namespace) -> int:
     doc = run_suite(
         default_scenarios(smoke=smoke),
         smoke=smoke,
-        include_views=not opts.no_views,
         include_federation=not opts.no_federation,
         include_scaleout=not opts.no_scaleout,
         progress=progress,
@@ -104,8 +103,6 @@ def main(argv: List[str] | None = None) -> int:
                        help="output path (default BENCH_load.json)")
     run_p.add_argument("--smoke", action="store_true",
                        help="small populations/durations (CI; also LOAD_SMOKE=1)")
-    run_p.add_argument("--no-views", action="store_true",
-                       help="skip the event-driven views A/B")
     run_p.add_argument("--no-federation", action="store_true",
                        help="skip the multi-cluster federation A/B")
     run_p.add_argument("--no-scaleout", action="store_true",

@@ -120,6 +120,14 @@ which layers four defences in front of the simulated daemons:
    inside a compute block never deadlock — the leader thread computes
    directly.
 
+   Every key also carries a *removal epoch* that `TTLCache.delete` and
+   `TTLCache.clear` bump. The single-flight leader, refresh-ahead
+   revalidations and coalesced followers all snapshot the epoch before
+   computing and store through an atomic check-and-write, so a compute
+   that raced a delete or clear is discarded
+   (`repro_cache_stale_writes_skipped_total`, refresh result
+   `superseded`) instead of re-storing the removed key.
+
 With a cold cache (nothing to serve stale) the route returns a
 structured `503` JSON envelope — never a traceback. `CacheStats` counts
 `stale_served`, `coalesced`, `retries`, `breaker_opens`, `evictions`,
@@ -154,6 +162,7 @@ trees on the sim clock. The metric families:
 | `repro_cache_purged_total` | `source`, `reason` | entries dropped outside lookups (`expired` / `deleted` / `cleared`) |
 | `repro_cache_coalesced_waiters_total` | `source` | followers that joined a single-flight leader (backend computes avoided) |
 | `repro_cache_inflight_keys` | — | keys with a compute currently in flight (gauge) |
+| `repro_cache_stale_writes_skipped_total` | `source` | epoch-fenced writes discarded after a delete or clear |
 | `repro_cache_entries` | — | live cache size (scrape-time gauge) |
 | `repro_fetch_retries_total` | `service` | resilient-fetch retries |
 | `repro_breaker_transitions_total` | `service`, `to` | circuit-breaker state changes |
@@ -382,73 +391,6 @@ fails if the delivery families are missing from `/metrics`.
 """
 
 
-VIEWS_SECTION = """\
-## Event-driven views & delta endpoints
-
-The scheduler is already event-driven, so instead of every route
-polling daemons through TTLs, the serving layer (`repro.core.views`)
-subscribes to the cluster's in-process event bus (`repro.sim.bus`) and
-keeps the hot cache entries current itself:
-
-1. **State-change events** — `SlurmScheduler` publishes a typed
-   `StateChange` for every job submit/start/end, node state change, and
-   scheduler pass (`EventBus.publish`: bus-wide monotonic `seq`,
-   sim-clock timestamps, synchronous in-order dispatch, subscriber
-   exceptions isolated and counted).
-2. **Targeted invalidation** — `ViewMaterializer.keys_for` maps each
-   change onto the `<source>:<key>` cache-key naming convention
-   (`squeue:<user>`, `scontrol_job:<id>`, `sinfo:all`, ...) and calls
-   `TTLCache.invalidate` on exactly the covered entries. Every key
-   carries an *invalidation epoch*: the single-flight leader,
-   refresh-ahead revalidations, and coalesced followers all snapshot
-   the epoch before computing and store through an atomic
-   check-and-write, so a compute that raced an invalidation is
-   discarded (`repro_cache_stale_writes_skipped_total`, refresh result
-   `superseded`) instead of resurrecting pre-change state.
-3. **Materialized snapshots** — the hub *learns* the compute closure of
-   every view-managed fetch the first time a route runs it, and on each
-   `sched_pass` re-materializes the learned entries at the pass
-   instant, stored with a stretched fallback TTL
-   (`CachePolicy.serve_ttl_for`, default 20x; soft-TTL refresh-ahead is
-   suppressed for view sources to avoid double fetching). Homepage
-   widgets and the job/node overviews then read a ready view: zero
-   on-request ctld RPCs at steady state, bodies byte-identical to the
-   TTL-poll path, TTLs demoted to a fallback. A failing re-compute
-   leaves its key invalidated (requests fall back to the resilient
-   fetch path) and is unlearned until a route re-teaches it.
-4. **Delta endpoints** — `GET /api/v1/views/jobs` and
-   `/api/v1/views/nodes` serve cursor'd record maps (`DeltaView`):
-   `?since=<cursor>` returns only records changed past the cursor plus
-   tombstones for removals, and replaying deltas from any cursor
-   reconstructs the full snapshot exactly. Job records are filtered per
-   viewer at serve time (the My Jobs privacy rule), while the cursor
-   stays global. `BrowserClient.load_delta` stores the merged
-   `{cursor, records}` state in the simulated IndexedDB and
-   revalidates stale entries with the stored cursor, so a refresh
-   costs bytes proportional to what changed.
-
-The metric families:
-
-| family | labels | source |
-| --- | --- | --- |
-| `repro_view_events_total` | `kind` | StateChange records received by the hub |
-| `repro_view_invalidations_total` | `source` | cache entries invalidated by events |
-| `repro_view_refreshes_total` | `source`, `result` (`ok` / `error`) | pass-time re-materializations |
-| `repro_view_materialized_keys` | — | learned keys kept materialized (gauge) |
-| `repro_view_delta_requests_total` | `view`, `shape` (`full` / `delta`) | view-endpoint requests |
-| `repro_view_delta_records_total` | `view` | records carried by view responses |
-| `repro_view_cursor` | `view` | monotonic change cursor (gauge) |
-| `repro_cache_stale_writes_skipped_total` | `source` | epoch-fenced writes discarded |
-
-`benchmarks/test_perf_views.py` measures the TTL-poll vs event-driven
-A/B (zero on-request RPCs, byte-identity, event latency, `?since=`
-byte savings — recorded as the `views` section of `BENCH_load.json`;
-`VIEWS_SMOKE=1` for CI), and `tools/metrics_smoke.py` drives one live
-invalidation over the wire and fails if the view families are missing
-from `/metrics`.
-"""
-
-
 FEDERATION_SECTION = """\
 ## Multi-cluster federation
 
@@ -586,7 +528,6 @@ def main() -> int:
         FANOUT_SECTION,
         LOAD_SECTION,
         DELIVERY_SECTION,
-        VIEWS_SECTION,
         FEDERATION_SECTION,
         SCALEOUT_SECTION,
     ]

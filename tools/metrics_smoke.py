@@ -18,11 +18,8 @@ exposed after one forced background revalidation on the live pool, and
 that the HTTP delivery families (``repro_http_not_modified_total``,
 ``repro_http_bytes_saved_total``) are exposed with a live 304 counted
 after one conditional-GET revalidation over the wire, and that the
-event-driven view families (``repro_view_events_total``,
-``repro_view_invalidations_total``, ``repro_view_refreshes_total``,
-``repro_view_delta_requests_total``, ...) are exposed with live values
-after one state-change invalidation driven over the wire (submit a job,
-re-fetch ``?since=`` with zero clock advance, require the new record).
+epoch-fence family (``repro_cache_stale_writes_skipped_total``) is
+pre-seeded.  Runs on the default build.
 
 Run:  python tools/metrics_smoke.py
 """
@@ -40,9 +37,7 @@ from typing import List
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.caching import CachePolicy  # noqa: E402
 from repro.core.dashboard import build_demo_dashboard  # noqa: E402
-from repro.slurm.model import JobSpec, TRES  # noqa: E402
 from repro.obs.metrics import (  # noqa: E402
     parse_prometheus_text,
     samples_by_name,
@@ -187,50 +182,6 @@ def drive_refresh_ahead(dash, failures: List[str]) -> None:
             "refresh-ahead smoke: refresh ran but never rewrote the entry"
         )
     cache.delete("smoke:refresh")
-
-
-def drive_view_invalidation(dash, server, user: str, failures: List[str]) -> None:
-    """Drive one state-change invalidation over the wire: submit a job,
-    then require the very next ``?since=`` fetch (zero clock advance) to
-    carry the new record — proof the event path, not a TTL, refreshed
-    the view — so the ``repro_view_*`` families hold live values."""
-    before = json.loads(
-        get(server.url + "/api/v1/views/jobs", username=user)
-    )
-    if not before.get("ok"):
-        failures.append("view smoke: /api/v1/views/jobs failed")
-        return
-    cursor = before["data"]["cursor"]
-
-    scheduler = dash.ctx.cluster.scheduler
-    partition = next(
-        p.name for p in scheduler.partitions.values() if p.is_default
-    )
-    account = dash.ctx.directory.account_names_of(user)[0]
-    [probe] = dash.ctx.cluster.submit(
-        JobSpec(
-            name="metrics-smoke-probe", user=user, account=account,
-            partition=partition, req=TRES(cpus=1, mem_mb=512, nodes=1),
-            time_limit=600.0, actual_runtime=300.0,
-        )
-    )
-    after = json.loads(
-        get(
-            server.url + f"/api/v1/views/jobs?since={cursor}",
-            username=user,
-        )
-    )
-    if not after.get("ok"):
-        failures.append("view smoke: ?since= re-fetch failed")
-        return
-    ids = [r["job_id"] for r in after["data"]["records"]]
-    if probe.job_id not in ids:
-        failures.append(
-            "view smoke: submitted job absent from the ?since= delta "
-            "(the invalidation never reached the view)"
-        )
-    if after["data"]["full"]:
-        failures.append("view smoke: ?since= fetch fell back to a full body")
 
 
 def drive_federation(failures: List[str]) -> None:
@@ -456,10 +407,7 @@ def drive_scaleout(failures: List[str]) -> None:
 
 
 def main() -> int:
-    dash, directory, _ = build_demo_dashboard(
-        duration_hours=1.0, seed=3,
-        cache_policy=CachePolicy(event_views=True),
-    )
+    dash, directory, _ = build_demo_dashboard(duration_hours=1.0, seed=3)
     server = DashboardServer(dash).start()
     failures: List[str] = []
     try:
@@ -485,7 +433,6 @@ def main() -> int:
         drive_coalescing(dash, failures)
         drive_refresh_ahead(dash, failures)
         drive_conditional_get(server, user, failures)
-        drive_view_invalidation(dash, server, user, failures)
 
         payload = get(server.url + "/metrics").decode()
         try:
@@ -533,15 +480,7 @@ def main() -> int:
             # drive_conditional_get above
             "repro_http_not_modified_total",
             "repro_http_bytes_saved_total",
-            # event-driven views: pre-seeded at startup and driven live
-            # by drive_view_invalidation above
-            "repro_view_events_total",
-            "repro_view_invalidations_total",
-            "repro_view_refreshes_total",
-            "repro_view_materialized_keys",
-            "repro_view_delta_requests_total",
-            "repro_view_delta_records_total",
-            "repro_view_cursor",
+            # epoch fence on delete/clear: pre-seeded at startup
             "repro_cache_stale_writes_skipped_total",
         ):
             if family not in by_name:
@@ -577,23 +516,6 @@ def main() -> int:
             failures.append(
                 "repro_http_not_modified_total is zero after the "
                 "conditional-GET revalidation"
-            )
-
-        invalidations = sum(
-            s.value
-            for s in by_name.get("repro_view_invalidations_total", [])
-        )
-        if invalidations < 1:
-            failures.append(
-                "repro_view_invalidations_total is zero after the live "
-                "state-change invalidation"
-            )
-        view_events = sum(
-            s.value for s in by_name.get("repro_view_events_total", [])
-        )
-        if view_events < 1:
-            failures.append(
-                "repro_view_events_total is zero after the live job submit"
             )
 
         health = json.loads(get(server.url + "/healthz"))
