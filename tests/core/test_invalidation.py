@@ -1,17 +1,17 @@
-"""Event-driven invalidation racing the cache's compute paths.
+"""Invalidation (``TTLCache.delete``) racing the cache's compute paths.
 
-The dangerous window: a StateChange invalidates a key while a
-single-flight leader (or an armed refresh-ahead revalidation) is still
-computing the *pre-change* value.  Without the per-key epoch, that
-compute's write would resurrect stale state the moment the invalidation
-finished; these tests pin the epoch semantics instead.
+The dangerous window: a key is deleted while a single-flight leader (or
+an armed refresh-ahead revalidation) is still computing the *pre-delete*
+value.  Without the per-key epoch, that compute's write would resurrect
+the deleted state the moment the delete finished; these tests pin the
+epoch semantics instead.
 """
 
 import threading
 
 import pytest
 
-from repro.core.caching import VIEW_SOURCES, CachePolicy, TTLCache
+from repro.core.caching import TTLCache
 from repro.sim.clock import SimClock
 
 
@@ -32,33 +32,26 @@ def inflight_gauge(cache):
 class TestInvalidate:
     def test_invalidate_drops_entry_and_counts(self, cache):
         cache.write("squeue:alice", "v")
-        assert cache.invalidate("squeue:alice") is True
+        assert cache.delete("squeue:alice") is True
         assert cache.read("squeue:alice") is None
         assert cache.entry("squeue:alice") is None
-        assert cache.invalidate("squeue:alice") is False
+        assert cache.delete("squeue:alice") is False
         assert cache.metrics.total(
-            "repro_cache_purged_total", reason="invalidated"
+            "repro_cache_purged_total", reason="deleted"
         ) == 1.0
-
-    def test_invalidate_bumps_epoch(self, cache):
-        assert cache.epoch_of("k") == 0
-        cache.invalidate("k")
-        assert cache.epoch_of("k") == 1
-        cache.delete("k")
-        assert cache.epoch_of("k") == 2
 
     def test_next_lookup_recomputes(self, cache):
         calls = []
         cache.fetch("squeue:alice", lambda: calls.append(1) or "v1")
-        cache.invalidate("squeue:alice")
+        cache.delete("squeue:alice")
         value = cache.fetch("squeue:alice", lambda: calls.append(1) or "v2")
         assert value == "v2" and len(calls) == 2
 
 
 class TestInvalidationRacesSingleFlight:
     def test_mid_compute_invalidation_not_resurrected(self, cache):
-        """The leader's write after an invalidation must be discarded —
-        its value reflects pre-invalidation backend state."""
+        """The leader's write after a delete must be discarded — its
+        value reflects pre-delete backend state."""
         entered = threading.Event()
         release = threading.Event()
 
@@ -73,9 +66,10 @@ class TestInvalidationRacesSingleFlight:
         )
         t.start()
         assert entered.wait(5.0)
-        assert cache.invalidate("squeue:alice") is False  # no entry yet
+        assert cache.delete("squeue:alice") is False  # no entry yet
         release.set()
         t.join(5.0)
+        assert not t.is_alive()
         # the caller still gets its computed value...
         assert results == ["stale-snapshot"]
         # ...but the cache did NOT store it
@@ -88,7 +82,7 @@ class TestInvalidationRacesSingleFlight:
         assert len(cache._inflight) == 0
 
     def test_mid_compute_invalidation_wakes_followers(self, cache):
-        """A follower waiting on an invalidated flight stops waiting and
+        """A follower waiting on a deleted key's flight stops waiting and
         recomputes instead of inheriting the cancelled leader's value."""
         entered = threading.Event()
         release = threading.Event()
@@ -126,28 +120,29 @@ class TestInvalidationRacesSingleFlight:
                 break
             threading.Event().wait(0.01)
 
-        cache.invalidate("squeue:alice")
+        cache.delete("squeue:alice")
         follower.join(5.0)
         release.set()
         leader.join(5.0)
+        assert not follower.is_alive() and not leader.is_alive()
 
         assert follower_results == ["fresh-value"]
         assert leader_results == ["leader-value"]
-        # the follower's post-invalidation compute is the stored value
+        # the follower's post-delete compute is the stored value
         assert cache.read("squeue:alice") == "fresh-value"
         assert inflight_gauge(cache) == 0.0
 
     def test_write_after_invalidation_still_possible(self, cache):
         """Only the epoch-snapshotting compute paths are fenced; a plain
-        write() after the invalidation stores normally."""
-        cache.invalidate("k")
+        write() after the delete stores normally."""
+        cache.delete("k")
         cache.write("k", "v")
         assert cache.read("k") == "v"
 
 
 class TestInvalidationRacesRefreshAhead:
     def test_refresh_superseded_by_invalidation(self, cache, clock):
-        """An armed revalidation whose key is invalidated before it runs
+        """An armed revalidation whose key is deleted before it runs
         must not rewrite the entry (counted ``superseded``)."""
         captured = []
         cache.refresh_runner = lambda thunk: (captured.append(thunk) or True)
@@ -158,8 +153,8 @@ class TestInvalidationRacesRefreshAhead:
             soft_ttl=48.0, refresh=lambda: "refreshed-from-old-state",
         )
         assert result.refreshing and len(captured) == 1
-        # the StateChange lands before the pool runs the refresh
-        cache.invalidate("squeue:alice")
+        # the delete lands before the pool runs the refresh
+        cache.delete("squeue:alice")
         captured[0]()
         assert cache.entry("squeue:alice") is None
         assert cache.metrics.total(
@@ -179,24 +174,3 @@ class TestInvalidationRacesRefreshAhead:
         assert cache.metrics.total(
             "repro_cache_refresh_ahead_total", result="ok"
         ) == 1.0
-
-
-class TestEventViewsPolicy:
-    def test_serve_ttl_stretched_only_for_view_sources(self):
-        policy = CachePolicy(event_views=True, view_ttl_factor=20.0)
-        assert policy.serve_ttl_for("squeue") == policy.squeue * 20.0
-        assert policy.serve_ttl_for("news") == policy.news
-        off = CachePolicy(event_views=False)
-        for source in VIEW_SOURCES:
-            assert off.serve_ttl_for(source) == off.ttl_for(source)
-
-    def test_soft_ttl_suppressed_for_view_sources(self):
-        policy = CachePolicy(event_views=True)
-        assert policy.soft_ttl_for("squeue") is None
-        assert policy.soft_ttl_for("news") is not None
-        off = CachePolicy(event_views=False)
-        assert off.soft_ttl_for("squeue") is not None
-
-    def test_view_ttl_factor_validated(self):
-        with pytest.raises(ValueError):
-            CachePolicy(view_ttl_factor=0.5)
