@@ -58,7 +58,6 @@ class Dashboard:
         admission: Optional[AdmissionConfig] = None,
         worker_pool_size: int = 8,
         worker_queue_max: int = 64,
-        cache_max_entries: Optional[int] = None,
     ):
         if quotas is None:
             quotas = QuotaDatabase()
@@ -84,7 +83,6 @@ class Dashboard:
             admission=admission,
             worker_pool_size=worker_pool_size,
             worker_queue_max=worker_queue_max,
-            cache_max_entries=cache_max_entries,
         )
         self.registry = RouteRegistry()
         for route in (*ALL_WIDGET_ROUTES, *ALL_PAGE_ROUTES, EXPORT_ROUTE):
@@ -151,8 +149,7 @@ class Dashboard:
         operators watching a degraded cluster recover; the same call
         mirrors the states into the /metrics gauge) and the admission
         tier + signals — stays live even while the dashboard is
-        shedding load.  The federated dashboard overrides this with a
-        per-cluster shape."""
+        shedding load."""
         return {
             "ok": True,
             "service": "repro-dashboard",
@@ -192,7 +189,6 @@ def build_demo_dashboard(
     cache_policy: Optional[CachePolicy] = None,
     use_server_cache: bool = True,
     admission: Optional[AdmissionConfig] = None,
-    cache_max_entries: Optional[int] = None,
 ):
     """One-call demo instance: populated cluster + directory + dashboard.
 
@@ -209,6 +205,5 @@ def build_demo_dashboard(
         cache_policy=cache_policy,
         use_server_cache=use_server_cache,
         admission=admission,
-        cache_max_entries=cache_max_entries,
     )
     return dash, directory, result

@@ -58,9 +58,6 @@ class JobRecord:
     exit_code: str = "0:0"
     nodes: List[str] = field(default_factory=list)
     raw: Dict[str, str] = field(default_factory=dict)
-    #: name of the cluster this record came from ("" on the single-cluster
-    #: path; federation stamps it so merged rollups can label provenance)
-    cluster: str = ""
 
     # -- derived quantities (same contracts as slurm.model.Job) ------------
 
@@ -223,8 +220,6 @@ class NodeRecord:
     reason: str
     last_busy: Optional[float]
     raw: Dict[str, str] = field(default_factory=dict)
-    #: name of the cluster this record came from (see JobRecord.cluster)
-    cluster: str = ""
 
     @property
     def cpu_fraction(self) -> float:

@@ -106,12 +106,6 @@ class RouteResponse:
     #: HTTP layer re-checks them to answer ``If-None-Match`` with a 304
     #: without dispatching the route.  Never serialized into the body.
     cache_deps: Optional[Tuple[Tuple[str, int], ...]] = None
-    #: federation only: names of member clusters that failed or served
-    #: stale while this merged response was assembled (partial-result
-    #: semantics — the response is still 200 when ≥1 cluster answered).
-    #: ``None`` on the single-cluster path, keeping its envelope
-    #: byte-identical to pre-federation behavior.
-    clusters_degraded: Optional[List[str]] = None
 
     def to_json(self) -> Dict[str, Any]:
         """The JSON envelope sent over HTTP."""
@@ -121,8 +115,6 @@ class RouteResponse:
             out["stale_age_s"] = round(self.stale_age_s, 3)
         if self.retry_after_s is not None:
             out["retry_after_s"] = round(self.retry_after_s, 3)
-        if self.clusters_degraded is not None:
-            out["clusters_degraded"] = list(self.clusters_degraded)
         if self.ok:
             out["data"] = self.data
         else:
@@ -415,7 +407,6 @@ class DashboardContext:
         admission: Optional[AdmissionConfig] = None,
         worker_pool_size: int = 8,
         worker_queue_max: int = 64,
-        cache_max_entries: Optional[int] = None,
     ):
         self.cluster = cluster
         self.directory = directory
@@ -430,16 +421,10 @@ class DashboardContext:
         self.obs = Observability(
             cluster.clock, max_traces=max_traces, slow_request_ms=slow_request_ms
         )
-        # capacity knob: a scale-out worker's slice of the fleet cache —
-        # None keeps the historical 10k-entry default
-        max_entries = {} if cache_max_entries is None else (
-            {"max_entries": cache_max_entries}
-        )
         self.cache = TTLCache(
             cluster.clock,
             default_ttl=self.cache_policy.default,
             registry=self.obs.registry,
-            **max_entries,
         )
         self.fetcher = ResilientFetcher(
             cache=self.cache,
@@ -685,28 +670,15 @@ class DashboardContext:
 
     # -- Slurm data (commands -> text -> parse -> records) --------------------
 
-    def _stamp_cluster(self, record):
-        """Stamp this context's cluster name onto a parsed record (or a
-        list of them) — federation rollups label provenance from it; the
-        hand-written page serializers never emit it, so single-cluster
-        payloads are unchanged."""
-        name = self.cluster.name
-        if isinstance(record, list):
-            for rec in record:
-                rec.cluster = name
-        else:
-            record.cluster = name
-        return record
-
     def recent_jobs_of(self, username: str) -> List[JobRecord]:
         """squeue scoped to one user (Recent Jobs widget, 30 s TTL)."""
 
         def compute() -> List[JobRecord]:
             out = self._squeue.run(user=username)
-            return self._stamp_cluster([
+            return [
                 JobRecord.from_squeue_row(r, self.clock)
                 for r in parse_squeue(out.stdout)
-            ])
+            ]
 
         return self._cached("squeue", username, compute)
 
@@ -734,10 +706,10 @@ class DashboardContext:
             out = self._sacct.run(
                 users=[viewer.username], accounts=accounts, start=start, end=end
             )
-            return self._stamp_cluster([
+            return [
                 JobRecord.from_sacct_row(r, self.clock)
                 for r in parse_sacct(out.stdout)
-            ])
+            ]
 
         records = self._cached("sacct", key, compute)
         if states is not None:
@@ -768,10 +740,10 @@ class DashboardContext:
 
         def compute() -> List[NodeRecord]:
             out = self._scontrol.show_nodes()
-            return self._stamp_cluster([
+            return [
                 NodeRecord.from_scontrol_block(b, self.clock)
                 for b in parse_scontrol_blocks(out.stdout)
-            ])
+            ]
 
         return self._cached("scontrol_node", "all", compute)
 
@@ -782,9 +754,9 @@ class DashboardContext:
 
         def compute() -> NodeRecord:
             out = self._scontrol.show_node(name)
-            return self._stamp_cluster(NodeRecord.from_scontrol_block(
+            return NodeRecord.from_scontrol_block(
                 parse_scontrol_blocks(out.stdout)[0], self.clock
-            ))
+            )
 
         return self._cached("scontrol_node", name, compute)
 
@@ -794,9 +766,9 @@ class DashboardContext:
         def compute() -> JobRecord:
             try:
                 out = self._scontrol.show_job(job_id)
-                return self._stamp_cluster(JobRecord.from_scontrol_block(
+                return JobRecord.from_scontrol_block(
                     parse_scontrol_blocks(out.stdout)[0], self.clock
-                ))
+                )
             except KeyError:
                 archived = self.cluster.accounting.get(job_id)
                 if archived is None:
@@ -805,9 +777,7 @@ class DashboardContext:
                 res = self._sacct.run(users=[archived.user])
                 for row in parse_sacct(res.stdout):
                     if row["JobIDRaw"] == str(job_id):
-                        return self._stamp_cluster(
-                            JobRecord.from_sacct_row(row, self.clock)
-                        )
+                        return JobRecord.from_sacct_row(row, self.clock)
                 raise KeyError(f"unknown job {job_id}") from None
 
         return self._cached("scontrol_job", str(job_id), compute)

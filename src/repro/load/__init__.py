@@ -9,7 +9,6 @@ schema'd ``BENCH_load.json`` (see :mod:`repro.load.report`) that
 ``tools/bench_report.py`` runs, validates, summarizes, and diffs.
 """
 
-from .federation import federation_ab, run_federation_side
 from .generator import (
     RequestOutcome,
     bench_environment,
@@ -19,7 +18,6 @@ from .generator import (
     run_suite,
 )
 from .report import diff, load_bench, summarize, validate_bench, write_bench
-from .scaleout import run_fleet_side, scaleout_ab, transparency_check
 from .scenarios import (
     Burst,
     FaultSpec,
@@ -45,18 +43,13 @@ __all__ = [
     "default_scenarios",
     "delivery_ab",
     "diff",
-    "federation_ab",
     "load_bench",
     "percentile",
-    "run_federation_side",
-    "run_fleet_side",
     "run_scenario",
     "run_suite",
-    "scaleout_ab",
     "summarize",
     "trace_digest",
     "trace_summary",
-    "transparency_check",
     "user_population",
     "validate_bench",
     "write_bench",

@@ -49,9 +49,7 @@ def bench_environment() -> Dict[str, Any]:
     """Machine facts recorded alongside every ``achieved_wall`` figure.
 
     Sim-side numbers (trace digests, hit rates, shed counts) compare
-    across any two machines; wall-clock throughput does not.  Diffing
-    tools use this block to refuse — loudly — to call a cross-machine
-    or cross-interpreter delta a regression.
+    across any two machines; wall-clock throughput does not.
     """
     return {
         "python": platform.python_version(),
@@ -415,12 +413,9 @@ def run_suite(
     *,
     smoke: bool = False,
     include_delivery: bool = True,
-    include_federation: bool = True,
-    include_scaleout: bool = True,
     progress: Optional[Any] = None,
 ) -> Dict[str, Any]:
-    """Run scenarios plus the delivery, federation and scale-out
-    comparisons into one BENCH doc."""
+    """Run scenarios plus the delivery comparison into one BENCH doc."""
     records = []
     for scenario in scenarios:
         if progress is not None:
@@ -437,18 +432,4 @@ def run_suite(
         if progress is not None:
             progress("HTTP delivery A/B ...")
         doc["delivery"] = delivery_ab()
-    if include_federation:
-        if progress is not None:
-            progress("federation A/B (1 vs 3 clusters, one killed) ...")
-        from .federation import federation_ab
-
-        doc["federation"] = federation_ab(smoke=smoke)
-    if include_scaleout:
-        if progress is not None:
-            progress(
-                "scale-out A/B (1 worker vs fleet, one killed) ..."
-            )
-        from .scaleout import scaleout_ab
-
-        doc["scaleout"] = scaleout_ab(smoke=smoke)
     return doc

@@ -101,51 +101,6 @@ def validate_bench(doc: Any) -> List[str]:
                     errors.append(f"delivery: not_modified missing {field!r}")
             if "savings_ratio" not in delivery.get("gzip", {}):
                 errors.append("delivery: gzip missing 'savings_ratio'")
-    federation = doc.get("federation")
-    if federation is not None:
-        if not isinstance(federation, dict):
-            errors.append("federation must be an object")
-        else:
-            for field in ("faulted_cluster", "baseline", "federated",
-                          "healthy_clusters", "healthy_hit_rate_delta",
-                          "zero_unexpected_5xx", "degraded_detail_served"):
-                if field not in federation:
-                    errors.append(f"federation: missing field {field!r}")
-            for side in ("baseline", "federated"):
-                for field in ("clusters", "requests", "statuses",
-                              "unexpected_5xx", "shed_responses",
-                              "degraded_responses", "member_cache"):
-                    if field not in federation.get(side, {}):
-                        errors.append(f"federation: {side} missing {field!r}")
-    scaleout = doc.get("scaleout")
-    if scaleout is not None:
-        if not isinstance(scaleout, dict):
-            errors.append("scaleout must be an object")
-        else:
-            for field in ("workers", "environment", "trace", "baseline",
-                          "affinity", "round_robin", "affinity_kill",
-                          "transparency", "speedup_wall", "p95_improved",
-                          "bodies_identical", "body_mismatches",
-                          "hit_rate_advantage", "kill_zero_unexpected_5xx",
-                          "kill_rerouted"):
-                if field not in scaleout:
-                    errors.append(f"scaleout: missing field {field!r}")
-            for field in ("python", "cpus", "workers"):
-                if field not in scaleout.get("environment", {}):
-                    errors.append(f"scaleout: environment missing {field!r}")
-            for side in ("baseline", "affinity", "round_robin",
-                         "affinity_kill"):
-                for field in ("workers", "routing", "requests", "statuses",
-                              "unexpected_5xx", "latency_ms", "rps",
-                              "fleet_cache", "balancer",
-                              "workers_alive_at_end", "body_digest"):
-                    if field not in scaleout.get(side, {}):
-                        errors.append(f"scaleout: {side} missing {field!r}")
-            for field in ("requests", "bodies_identical", "body_mismatches"):
-                if field not in scaleout.get("transparency", {}):
-                    errors.append(
-                        f"scaleout: transparency missing {field!r}"
-                    )
     return errors
 
 
@@ -199,59 +154,6 @@ def summarize(doc: Dict[str, Any]) -> str:
             f"streamed homepage identical: "
             f"{delivery['streamed_homepage_identical']}  "
             f"decoded identical: {delivery['decoded_identical']}"
-        )
-    federation = doc.get("federation")
-    if federation:
-        fd = federation["federated"]
-        lines.append("")
-        lines.append(
-            f"federation A/B (1 vs {len(fd['clusters'])} clusters, "
-            f"{federation['faulted_cluster']} killed mid-run):"
-        )
-        for name, cache in fd["member_cache"].items():
-            marker = " (killed)" if name == federation["faulted_cluster"] else ""
-            lines.append(
-                f"  {name:<10} hit_rate={cache['hit_rate'] * 100:>5.1f}% "
-                f"lookups={cache['lookups']:.0f}{marker}"
-            )
-        lines.append(
-            f"  unexpected 5xx: {fd['unexpected_5xx']}  "
-            f"shed: {fd['shed_responses']}  "
-            f"degraded-detail 200s: {fd['degraded_responses']}  "
-            f"healthy hit-rate delta vs baseline: "
-            f"{federation['healthy_hit_rate_delta'] * 100:.1f}pp"
-        )
-    scaleout = doc.get("scaleout")
-    if scaleout:
-        env = scaleout.get("environment", {})
-        lines.append("")
-        lines.append(
-            f"scale-out A/B (1 worker vs {scaleout['workers']}, "
-            f"{scaleout['affinity_kill'].get('killed_worker')} killed "
-            f"mid-run; py{env.get('python')}, {env.get('cpus')} cpus):"
-        )
-        for side in ("baseline", "affinity", "round_robin"):
-            rec = scaleout[side]
-            lines.append(
-                f"  {side:<12} workers={rec['workers']} "
-                f"wall_rps={rec['rps']['achieved_wall']:>7.1f} "
-                f"p95={rec['latency_ms']['p95']:>7.1f}ms "
-                f"hit_rate={rec['fleet_cache']['hit_rate'] * 100:>5.1f}%"
-            )
-        kill = scaleout["affinity_kill"]
-        lines.append(
-            f"  {'kill run':<12} unexpected 5xx: {kill['unexpected_5xx']}  "
-            f"rerouted: {kill['balancer']['rerouted']:.0f}  "
-            f"alive at end: {len(kill['workers_alive_at_end'])}"
-            f"/{kill['workers']}"
-        )
-        lines.append(
-            f"  speedup vs 1 worker: {scaleout['speedup_wall']:.2f}x "
-            f"(achieved wall RPS)  p95 improved: "
-            f"{scaleout['p95_improved']}  bodies identical "
-            f"(cache-off transparency, "
-            f"{scaleout['transparency']['requests']} reqs): "
-            f"{scaleout['bodies_identical']}"
         )
     return "\n".join(lines)
 
@@ -318,42 +220,6 @@ def diff(old: Dict[str, Any], new: Dict[str, Any]) -> str:
             f"{old_dl['gzip']['savings_ratio']:.3f} -> "
             f"{new_dl['gzip']['savings_ratio']:.3f}"
         )
-    old_fd = old.get("federation")
-    new_fd = new.get("federation")
-    if old_fd and new_fd:
-        lines.append(
-            f"federation healthy hit-rate delta: "
-            f"{old_fd['healthy_hit_rate_delta']:.3f} -> "
-            f"{new_fd['healthy_hit_rate_delta']:.3f}, unexpected 5xx: "
-            f"{old_fd['federated']['unexpected_5xx']} -> "
-            f"{new_fd['federated']['unexpected_5xx']}"
-        )
-    old_so = old.get("scaleout")
-    new_so = new.get("scaleout")
-    if old_so and new_so:
-        old_env = old_so.get("environment", {})
-        new_env = new_so.get("environment", {})
-        if old_env != new_env:
-            changed = sorted(
-                k for k in set(old_env) | set(new_env)
-                if old_env.get(k) != new_env.get(k)
-            )
-            detail = ", ".join(
-                f"{k} {old_env.get(k)} -> {new_env.get(k)}" for k in changed
-            )
-            lines.append(
-                f"scaleout: ENVIRONMENT CHANGED ({detail}) — achieved-wall "
-                "speedups not comparable across environments"
-            )
-        else:
-            lines.append(
-                f"scaleout speedup: {old_so['speedup_wall']:.2f}x -> "
-                f"{new_so['speedup_wall']:.2f}x, hit-rate advantage vs "
-                f"round-robin: {old_so['hit_rate_advantage']:.3f} -> "
-                f"{new_so['hit_rate_advantage']:.3f}, kill unexpected 5xx: "
-                f"{old_so['affinity_kill']['unexpected_5xx']} -> "
-                f"{new_so['affinity_kill']['unexpected_5xx']}"
-            )
     return "\n".join(lines) if lines else "(no scenarios to compare)"
 
 

@@ -114,54 +114,6 @@ class SimClock:
         return f"SimClock(t={self._now:.1f}, {self.isoformat()})"
 
 
-class RelayClock:
-    """A clock facade whose advances are relayed to an external driver.
-
-    The multi-process fleet holds one *logical* sim clock whose real
-    instances live in worker processes.  Harness code written against
-    the single-process API (``dash.clock.advance(...)`` between ticks)
-    keeps working unchanged: a ``RelayClock`` tracks the ensemble's
-    time cursor locally and hands every ``advance`` to ``relay`` — the
-    fleet's broadcast-and-barrier — which moves every worker clock in
-    lockstep before the call returns.
-
-    Only the advancing/reading subset of :class:`SimClock` is exposed;
-    anything needing calendar conversion belongs in the workers, next
-    to a real clock.
-    """
-
-    __slots__ = ("_now", "_relay")
-
-    def __init__(self, start: float, relay: Callable[[float], None]):
-        if start < 0:
-            raise ValueError(f"clock cannot start before the epoch: {start}")
-        self._now = float(start)
-        self._relay = relay
-
-    def now(self) -> float:
-        """The ensemble's current simulated time (seconds)."""
-        return self._now
-
-    def advance(self, seconds: float) -> float:
-        """Relay one lockstep advance; returns the new ensemble time."""
-        if seconds < 0:
-            raise ValueError(f"time cannot move backwards: {seconds}")
-        self._relay(float(seconds))
-        self._now += float(seconds)
-        return self._now
-
-    def advance_to(self, t: float) -> float:
-        """Advance the ensemble to absolute time ``t`` (>= now)."""
-        if t < self._now:
-            raise ValueError(
-                f"advance_to({t}) would move time backwards from {self._now}"
-            )
-        return self.advance(t - self._now)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RelayClock(t={self._now:.1f})"
-
-
 def duration_hms(seconds: float) -> str:
     """Format a duration the way Slurm does: ``D-HH:MM:SS`` or ``HH:MM:SS``.
 

@@ -202,14 +202,9 @@ def small_test_cluster(
     associations: Sequence[Association] = (),
     qos: Sequence[QoS] = (),
     scheduler: Optional[SchedulerConfig] = None,
-    loop: Optional[EventLoop] = None,
 ) -> SlurmCluster:
     """A compact cluster used across the test suite: one CPU partition
-    (default) and one GPU partition, modeled on the paper's Anvil host.
-
-    ``loop`` lets federated setups hand every member cluster an event
-    loop over one shared :class:`~repro.sim.clock.SimClock` (each member
-    keeps its own queue; only the timeline is shared)."""
+    (default) and one GPU partition, modeled on the paper's Anvil host."""
     spec = ClusterSpec(
         name=name,
         node_groups=[
@@ -240,4 +235,4 @@ def small_test_cluster(
         associations=list(associations),
         scheduler=scheduler or SchedulerConfig(),
     )
-    return SlurmCluster(spec, loop=loop)
+    return SlurmCluster(spec)

@@ -147,13 +147,8 @@ class RetryJitter:
 def request_cache_key(
     username: str, is_admin: bool, path: str, query: str
 ) -> str:
-    """The canonical viewer+route identity of one GET request.
-
-    This single derivation is shared by the :class:`ValidatorIndex`
-    (ETag revalidation) and the scale-out balancer's affinity router —
-    the balancer hashes exactly the key the worker will cache under, so
-    repeat requests land on the worker that already holds the entry.
-    """
+    """The canonical viewer+route identity of one GET request: the key
+    the :class:`ValidatorIndex` records and revalidates ETags under."""
     return f"{username}|{int(is_admin)}|{path}?{query}"
 
 

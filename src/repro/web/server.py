@@ -154,8 +154,7 @@ class _Handler(BaseHTTPRequestHandler):
         username = self.headers.get("X-Remote-User")
 
         if parsed.path == "/healthz":
-            # the dashboard owns its health shape: single-cluster reports
-            # breakers + admission tier, federated adds per-cluster detail
+            # the dashboard owns its health shape: breakers + admission tier
             self._send(200, self.dashboard.healthz_payload())
             return
         if parsed.path == "/metrics":
@@ -406,11 +405,10 @@ class _LoadableHTTPServer(ThreadingHTTPServer):
     decide what gets shed.
 
     ``allow_reuse_address`` (``SO_REUSEADDR``) is made explicit — a
-    worker process killed and respawned on the same port must not flake
-    with ``Address already in use`` while the old socket lingers in
-    TIME_WAIT — and handler threads are daemonic with a non-blocking
-    close, so stopping a server never hangs on a wedged keep-alive
-    connection (scale-out tests start/kill/restart workers rapidly).
+    server restarted on the same port must not flake with ``Address
+    already in use`` while the old socket lingers in TIME_WAIT — and
+    handler threads are daemonic with a non-blocking close, so stopping
+    a server never hangs on a wedged keep-alive connection.
     """
 
     request_queue_size = 128
@@ -425,8 +423,8 @@ class DashboardServer:
     """Threaded HTTP server wrapping one :class:`Dashboard`.
 
     Binds at construction time (``port=0`` asks the kernel for an
-    ephemeral port — the scale-out fleet always does this); the bound
-    port is exposed via :attr:`port` immediately, before :meth:`start`.
+    ephemeral port); the bound port is exposed via :attr:`port`
+    immediately, before :meth:`start`.
     """
 
     def __init__(self, dashboard: Dashboard, host: str = "127.0.0.1", port: int = 0,

@@ -115,13 +115,15 @@ class TestDispatchIsolation:
         resp = dash.call("system_status", alice_v)
         assert resp.ok and resp.status == 200
         js = resp.to_json()
-        assert js["ok"] is True and "data" in js
+        assert set(js) == {"ok", "route", "status", "degraded", "data"}
+        assert js["ok"] is True and js["degraded"] is False
         assert resp.elapsed_ms >= 0
 
     def test_error_envelope_has_no_data(self, dash, alice_v):
         resp = dash.registry.call(dash.ctx, "ghost", alice_v)
         js = resp.to_json()
-        assert "data" not in js and js["error"]
+        assert set(js) == {"ok", "route", "status", "degraded", "error"}
+        assert js["error"]
 
 
 class TestContextCaching:

@@ -123,9 +123,6 @@ class TestSuite:
         doc = run_suite(
             [_tiny(name="suite_a"), _tiny(name="suite_b", seed=8)],
             smoke=True,
-            # the multi-process A/B spawns whole fleets; its own smoke
-            # runs in the CI smoke job, not the unit suite
-            include_scaleout=False,
         )
         assert validate_bench(doc) == []
         assert [r["name"] for r in doc["scenarios"]] == ["suite_a", "suite_b"]

@@ -42,60 +42,6 @@ def _scenario_record(name="steady_state", digest="abc123", p95=12.5):
     }
 
 
-def _fleet_side(workers=4, routing="affinity", rps=220.0, p95=140.0,
-                hit_rate=0.87, killed=None):
-    return {
-        "workers": workers,
-        "routing": routing,
-        "killed_worker": killed,
-        "kill_tick": 24 if killed else None,
-        "requests": 1554,
-        "statuses": {"200": 1554},
-        "unexpected_5xx": 0,
-        "shed_responses": 0,
-        "latency_ms": {"p50": 3.0, "p95": p95, "p99": 250.0, "mean": 20.0},
-        "rps": {"offered_sim": 16.2, "achieved_wall": rps},
-        "fleet_cache": {"lookups": 9000.0, "hits": 9000.0 * hit_rate,
-                        "hit_rate": hit_rate},
-        "balancer": {"rerouted": 2.0 if killed else 0.0,
-                     "retries": 1.0 if killed else 0.0},
-        "workers_alive_at_end": [f"w{i}" for i in range(workers)][
-            1 if killed else 0:
-        ],
-        "wall_s": 7.0,
-        "body_digest": "d" * 64,
-    }
-
-
-def _scaleout_record(**env_overrides):
-    env = {"python": "3.11.7", "cpus": 1, "workers": 4}
-    env.update(env_overrides)
-    return {
-        "smoke": False,
-        "seed": 2025,
-        "workers": 4,
-        "environment": env,
-        "cache_max_entries": 56,
-        "trace": {"digest": "t" * 16, "requests": 1554,
-                  "distinct_users": 48, "by_route": {"/": 300}},
-        "baseline": _fleet_side(workers=1, rps=83.0, p95=295.0,
-                                hit_rate=0.40),
-        "affinity": _fleet_side(),
-        "round_robin": _fleet_side(routing="round_robin", rps=108.0,
-                                   p95=302.0, hit_rate=0.50),
-        "affinity_kill": _fleet_side(killed="w0", rps=204.0),
-        "transparency": {"requests": 192, "bodies_identical": True,
-                         "body_mismatches": 0},
-        "speedup_wall": 2.66,
-        "p95_improved": True,
-        "bodies_identical": True,
-        "body_mismatches": 0,
-        "hit_rate_advantage": 0.37,
-        "kill_zero_unexpected_5xx": True,
-        "kill_rerouted": True,
-    }
-
-
 def _doc(**overrides):
     doc = {
         "schema_version": 1,
@@ -147,20 +93,6 @@ class TestValidate:
         errors = validate_bench(_doc(scenarios=[rec]))
         assert any("ctld_rpcs" in e and "type" in e for e in errors)
 
-    def test_valid_scaleout_section_passes(self):
-        assert validate_bench(_doc(scaleout=_scaleout_record())) == []
-
-    def test_flags_missing_scaleout_fields(self):
-        rec = _scaleout_record()
-        del rec["transparency"]
-        del rec["environment"]["cpus"]
-        del rec["affinity"]["fleet_cache"]
-        errors = validate_bench(_doc(scaleout=rec))
-        assert any("transparency" in e for e in errors)
-        assert any("environment missing 'cpus'" in e for e in errors)
-        assert any("affinity missing 'fleet_cache'" in e for e in errors)
-
-
 class TestWriteBench:
     def test_refuses_invalid_doc(self, tmp_path):
         with pytest.raises(ValueError, match="refusing to write"):
@@ -192,14 +124,6 @@ class TestSummarize:
         out = summarize(_doc(scenarios=[rec]))
         assert "brownout@20s" in out
 
-    def test_shows_scaleout_speedup_vs_one_worker(self):
-        out = summarize(_doc(scaleout=_scaleout_record()))
-        assert "speedup vs 1 worker: 2.66x" in out
-        assert "baseline" in out and "round_robin" in out
-        assert "unexpected 5xx: 0" in out
-        assert "py3.11.7, 1 cpus" in out
-
-
 class TestDiff:
     def test_reports_latency_deltas(self):
         old = _doc()
@@ -221,21 +145,3 @@ class TestDiff:
         out = diff(old, new)
         assert "fresh: new scenario" in out
         assert "gone: removed" in out
-
-    def test_scaleout_same_environment_diffs_speedup(self):
-        doc = _doc(scaleout=_scaleout_record())
-        out = diff(doc, doc)
-        assert "scaleout speedup: 2.66x -> 2.66x" in out
-        assert "ENVIRONMENT CHANGED" not in out
-
-    def test_scaleout_environment_change_refuses_comparison(self):
-        """Wall-clock speedups from different machines (or interpreter
-        versions, or fleet sizes) must never be diffed as a trend."""
-        old = _doc(scaleout=_scaleout_record())
-        new = _doc(scaleout=_scaleout_record(cpus=8, python="3.12.1"))
-        out = diff(old, new)
-        assert "ENVIRONMENT CHANGED" in out
-        assert "cpus 1 -> 8" in out
-        assert "python 3.11.7 -> 3.12.1" in out
-        assert "speedups not comparable" in out
-        assert "2.66x -> 2.66x" not in out

@@ -1,10 +1,10 @@
 """Server lifecycle: port-0 binding, graceful stop, rebindability.
 
-The worker fleet spawns and tears down many DashboardServers per run,
-so the lifecycle guarantees — an ephemeral port is bound and reported
-before ``start()`` returns, ``stop()`` is graceful and idempotent, and
-a stopped address is immediately rebindable — are load-bearing, not
-niceties.
+The benchmark harness and the test suite start and stop many
+DashboardServers per run, so the lifecycle guarantees — an ephemeral
+port is bound and reported before ``start()`` returns, ``stop()`` is
+graceful and idempotent, and a stopped address is immediately
+rebindable — are load-bearing, not niceties.
 """
 
 import urllib.error
@@ -36,8 +36,8 @@ class TestLifecycle:
             assert _get(server.url) == 200
 
     def test_port_known_before_start(self, small_dash):
-        """Binding happens at construction: the fleet handshake reports
-        a worker's port without racing its accept loop."""
+        """Binding happens at construction: a launcher can report the
+        port without racing the accept loop."""
         server = DashboardServer(small_dash, port=0)
         try:
             assert server.port != 0
@@ -75,8 +75,8 @@ class TestLifecycle:
             _get(url, timeout=2)
 
     def test_stopped_port_immediately_rebindable(self, small_dash):
-        """SO_REUSEADDR in practice: a fleet replacement worker can
-        take over a just-vacated port without waiting out TIME_WAIT."""
+        """SO_REUSEADDR in practice: a restarted server can take over a
+        just-vacated port without waiting out TIME_WAIT."""
         first = DashboardServer(small_dash, port=0).start()
         port = first.port
         first.stop()
@@ -103,8 +103,8 @@ class TestLifecycle:
 
 class TestListenerTuning:
     def test_listener_hardening_flags(self):
-        """The fleet's balancer fans many concurrent sockets into each
-        worker; the stdlib defaults (backlog 5, no reuse) would drop
+        """A load generator fans many concurrent sockets into the
+        server; the stdlib defaults (backlog 5, no reuse) would drop
         connections under exactly that load."""
         assert _LoadableHTTPServer.request_queue_size >= 64
         assert _LoadableHTTPServer.allow_reuse_address is True

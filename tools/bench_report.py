@@ -5,11 +5,11 @@ Subcommands::
 
     python tools/bench_report.py run [--out BENCH_load.json] [--smoke]
         Replay the default scenario suite (steady_state, burst,
-        fault_window) plus the delivery, federation and scale-out
-        comparisons, and write the schema'd BENCH document.  ``--smoke`` (or the
-        ``LOAD_SMOKE=1`` environment variable) shrinks populations and
-        durations for CI.  If the output file already exists, the
-        trajectory diff against the previous run is printed.
+        fault_window) plus the delivery comparison, and write the
+        schema'd BENCH document.  ``--smoke`` (or the ``LOAD_SMOKE=1``
+        environment variable) shrinks populations and durations for CI.
+        If the output file already exists, the trajectory diff against
+        the previous run is printed.
 
     python tools/bench_report.py validate BENCH_load.json
         Exit nonzero listing every schema violation (CI gate).
@@ -54,8 +54,6 @@ def _cmd_run(opts: argparse.Namespace) -> int:
     doc = run_suite(
         default_scenarios(smoke=smoke),
         smoke=smoke,
-        include_federation=not opts.no_federation,
-        include_scaleout=not opts.no_scaleout,
         progress=progress,
     )
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(
@@ -103,10 +101,6 @@ def main(argv: List[str] | None = None) -> int:
                        help="output path (default BENCH_load.json)")
     run_p.add_argument("--smoke", action="store_true",
                        help="small populations/durations (CI; also LOAD_SMOKE=1)")
-    run_p.add_argument("--no-federation", action="store_true",
-                       help="skip the multi-cluster federation A/B")
-    run_p.add_argument("--no-scaleout", action="store_true",
-                       help="skip the multi-process scale-out A/B")
     run_p.set_defaults(func=_cmd_run)
 
     val_p = sub.add_parser("validate", help="schema-check a BENCH file")

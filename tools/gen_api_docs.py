@@ -4,6 +4,7 @@
 Walks every module under ``repro``, collecting public classes and
 functions (honouring ``__all__`` where defined) and their first
 docstring paragraph into a browsable Markdown reference.
+:func:`render` returns that text without touching the file.
 
 Run:  python tools/gen_api_docs.py
 """
@@ -391,126 +392,8 @@ fails if the delivery families are missing from `/metrics`.
 """
 
 
-FEDERATION_SECTION = """\
-## Multi-cluster federation
-
-`repro.federation` serves N independent simulated clusters behind one
-dashboard with per-cluster failure isolation:
-
-1. **Shared-nothing members, shared clock** — `ClusterRegistry` stands
-   up each member as a *complete* dashboard stack (its own
-   `SlurmCluster`, `DaemonBus`, `FaultPlan` hooks, circuit breakers,
-   bulkheads, admission controller, worker pool, and TTL cache) behind
-   one `SimClock`; `registry.advance` interleaves the member event
-   queues deterministically by (timestamp, registration order). One
-   cluster's invalidation epochs, ETag generations, breaker trips and
-   brownout tiers physically cannot touch another's.
-2. **Federated serving path** — `FederatedDashboard` duck-types
-   `Dashboard` for the HTTP layer, so `DashboardServer` serves a
-   federation unchanged. Federated pages
-   (`/api/v1/federation/{cluster_status,my_jobs,accounts}` and the
-   homepage) scatter-gather per-member fetches over the worker-pool
-   substrate; cross-cluster My Jobs and accounting rollups label every
-   row with its cluster of origin. Any other API path routes to one
-   member: `?cluster=<name>` selects it (structured 404 for an unknown
-   name), a plain path goes to the default (first-registered) member —
-   so the single-cluster path pays no new RPCs and serves byte-identical
-   responses.
-3. **Quorum semantics** — a federated response is `200` with a
-   `clusters_degraded` list naming the losers when at least one member
-   answered, and `503` (with the largest member retry hint) only when
-   none did. A dead or browning-out cluster degrades its *own* homepage
-   column (stale-served with a per-cluster banner, or an explicit
-   "cluster unreachable" slot) while healthy clusters render fresh —
-   never a whole-page 5xx. The streamed federated homepage flushes the
-   shell first and streams one column per cluster as each fan-out
-   worker completes, byte-identical to the batch render even when a
-   cluster dies mid-stream.
-4. **Namespaced validators** — member cache deps come back as
-   `<cluster>/<source>:<key>` and member ETags are re-derived under the
-   cluster name, so the server's validator index revalidates federated
-   responses against exactly the member cache entries that produced
-   them; two clusters caching the same `source:key` can never satisfy
-   each other's validators. A fully-fresh federated merge carries its
-   own strong ETag (304s work on federated pages); a partial or stale
-   merge deliberately has none.
-5. **Per-cluster observability** — `/metrics` merges every member's
-   scrape with a `cluster` label injected on each sample (federation-
-   level families stay unlabeled); `/healthz` nests each member's
-   breaker states and admission tier under `clusters.<name>`, plus
-   federation quorum info at the top.
-
-`build_demo_federation(names=...)` stands up a demo federation in one
-call. `benchmarks/test_perf_federation.py` (`FEDERATION_SMOKE=1` for
-CI) and the `federation` section of `BENCH_load.json`
-(`repro.load.federation.federation_ab`) record the acceptance A/B:
-1 cluster vs 3 with one killed mid-run — zero unexpected 5xx, healthy
-members' cache hit rates within noise of the baseline, degraded detail
-served on every federated 200 that lost a member.
-"""
-
-
-SCALEOUT_SECTION = """\
-## Multi-process scale-out
-
-`repro.scaleout` runs a fleet of N full dashboard processes behind one
-front balancer, with cross-process cache-key ownership:
-
-1. **Shared-nothing workers** — `WorkerFleet` forks N processes, each
-   running a complete `DashboardServer` (own interpreter, TTL cache,
-   breakers, admission controller, worker pool) built from the same
-   primitives-only `WorkerConfig` (same seed, so identical worlds and
-   identical sim clocks). A `multiprocessing.Pipe` control channel per
-   worker carries the ready handshake (`("ready", port, now)`) and the
-   broadcast-and-barrier sim-clock tick (`("advance", s)` /
-   `("advanced", now)`); the fleet's `RelayClock` keeps every process
-   in lockstep and tolerates — by dropping from the barrier — workers
-   that die mid-run.
-2. **Cache-affinity routing** — `BalancerServer` hashes each request's
-   viewer+route identity (the same `request_cache_key` derivation the
-   workers' validator indexes use) on the consistent-hash `HashRing`
-   in `repro.scaleout.ring` (blake2b points, 64 vnodes per worker).
-   Repeat requests for one key land on one worker, so N
-   capped caches *partition* the working set (N x aggregate capacity)
-   instead of each worker missing on everything. Viewer-less requests
-   (and the `affinity=False` benchmark control) round-robin.
-3. **Worker failure = rerouted load** — each worker gets a wall-clock
-   mini-breaker (`WorkerBreaker`: consecutive transport failures open
-   it, a cooldown half-opens it; `allow()` is a pure read so routing
-   can consult it freely). A request whose owner is down walks the
-   ring's preference order and retries **once** on the next healthy
-   worker; the consistent-hash remap touches only the dead worker's
-   ~1/N key share, so survivors keep their warm caches. If every
-   candidate fails the balancer answers a structured 503.
-4. **Proxy fidelity** — the balancer relays worker responses
-   byte-identically (hop-by-hop headers stripped per RFC 9110,
-   Content-Length recomputed for bodies, preserved for HEAD parity,
-   suppressed for 304; gzip passes through; chunked upstream bodies
-   re-sent with Content-Length). A cache-off replay proves 1 worker
-   and N return identical bytes per request — routing is transparent.
-5. **Fleet observability** — the balancer's `/metrics` merges every
-   worker's scrape under a `worker` label (the same merge the
-   federation uses for clusters) plus its own `repro_balancer_*`
-   families (requests by routing decision, retries, per-worker up
-   gauges); `/healthz` nests each worker's health payload and stays
-   `ok` while at least one worker is up.
-
-`WorkerFleet(workers=N, config=WorkerConfig(...))` is the one-call
-deployment; it duck-types the single-server harness contract (`url`,
-`clock.advance`, context manager). `benchmarks/test_perf_scaleout.py`
-(`SCALEOUT_SMOKE=1` for CI) and the `scaleout` section of
-`BENCH_load.json` (`repro.load.scaleout.scaleout_ab`) record the
-acceptance A/B: 1 worker vs an affinity fleet vs a round-robin control
-vs a fleet with one worker SIGKILLed mid-run — >= 2x achieved wall RPS
-at equal-or-better p95, byte-identical cache-off bodies, fleet hit
-rate above the duplicated-cache control, zero unexpected 5xx after the
-kill. Every `achieved_wall` figure is recorded with an `environment`
-block (Python version, CPU count, worker count) and the trajectory
-diff refuses to compare speedups across differing environments.
-"""
-
-
-def main() -> int:
+def render() -> str:
+    """The full text of docs/API.md (imports the package, writes nothing)."""
     repo = pathlib.Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(repo / "src"))
     import repro
@@ -528,8 +411,6 @@ def main() -> int:
         FANOUT_SECTION,
         LOAD_SECTION,
         DELIVERY_SECTION,
-        FEDERATION_SECTION,
-        SCALEOUT_SECTION,
     ]
     seen = set()
     for info in sorted(
@@ -541,10 +422,13 @@ def main() -> int:
         seen.add(info.name)
         module = importlib.import_module(info.name)
         lines.extend(render_module(module))
+    return "\n".join(lines) + "\n"
 
-    out = repo / "docs" / "API.md"
+
+def main() -> int:
+    out = pathlib.Path(__file__).resolve().parent.parent / "docs" / "API.md"
     out.parent.mkdir(exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
+    out.write_text(render())
     print(f"wrote {out} ({out.stat().st_size:,} bytes)")
     return 0
 
