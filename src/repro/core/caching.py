@@ -33,55 +33,11 @@ from __future__ import annotations
 
 import heapq
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type
 
 from repro.obs import MetricsRegistry
 from repro.sim.clock import SimClock
-
-
-class ContentionLock:
-    """A reentrant lock that counts contended acquisitions and wait time.
-
-    Drop-in for ``threading.RLock`` as a context manager, with three
-    counters mutated only while the lock is held (so they need no lock
-    of their own): ``acquisitions`` (every entry), ``contended``
-    (entries that found the lock taken), and ``wait_s`` (wall seconds
-    spent blocked).  The fast path is one extra non-blocking ``acquire``
-    attempt, so an uncontended cache pays almost nothing for the
-    profile.  :meth:`TTLCache.lock_stats` exposes the numbers; the load
-    harness records them per scenario to show whether the one cache
-    lock is ever contended.
-    """
-
-    __slots__ = ("_lock", "acquisitions", "contended", "wait_s")
-
-    def __init__(self) -> None:
-        self._lock = threading.RLock()
-        self.acquisitions = 0
-        self.contended = 0
-        self.wait_s = 0.0
-
-    def __enter__(self) -> "ContentionLock":
-        if not self._lock.acquire(blocking=False):
-            t0 = time.perf_counter()
-            self._lock.acquire()
-            self.wait_s += time.perf_counter() - t0
-            self.contended += 1
-        self.acquisitions += 1
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self._lock.release()
-
-    def stats(self) -> Dict[str, float]:
-        """Lifetime acquisition counters as a plain dict."""
-        return {
-            "acquisitions": float(self.acquisitions),
-            "contended": float(self.contended),
-            "wait_s": self.wait_s,
-        }
 
 
 @dataclass
@@ -90,8 +46,8 @@ class CacheEntry:
     stored_at: float
     ttl: float
     #: monotonically-bumped write counter of the owning cache — the HTTP
-    #: layer derives strong ETags from it, so any rewrite of the entry
-    #: (even with an equal value) invalidates outstanding validators
+    #: layer derives ETags from it, so any rewrite of the entry (even
+    #: with an equal value) invalidates outstanding validators
     generation: int = 0
 
     def expires_at(self) -> float:
@@ -319,7 +275,7 @@ class TTLCache:
         self._epochs: Dict[str, int] = {}
         self._expiry_heap: List[Tuple[float, str]] = []
         self._inflight: Dict[str, _InFlight] = {}
-        self._lock = ContentionLock()
+        self._lock = threading.RLock()
         #: shared registry (the dashboard's) or a private one; either way
         #: lookups/evictions become first-class per-source metrics
         self.metrics = registry or MetricsRegistry()
@@ -391,11 +347,6 @@ class TTLCache:
         with the cache lock held, after any mutation)."""
         self._entries_gauge.set(float(len(self._entries)))
         self._inflight_gauge.set(float(len(self._inflight)))
-
-    def lock_stats(self) -> Dict[str, float]:
-        """Lifetime contention profile of the cache lock (acquisitions,
-        contended acquisitions, wall seconds spent waiting)."""
-        return self._lock.stats()
 
     # -- Rails.cache.fetch, single-flight ------------------------------------
 

@@ -98,9 +98,11 @@ class RouteResponse:
     #: seconds after which the client should retry (429/503/504 only);
     #: the HTTP layer turns this into a real ``Retry-After`` header
     retry_after_s: Optional[float] = None
-    #: strong validator derived from the cache-entry generations behind
-    #: this response (set only for ok, non-degraded, fully-cached
-    #: responses); the HTTP layer sends it as an ``ETag`` header
+    #: validator derived from the cache-entry generations behind this
+    #: response (set only for ok, non-degraded, fully-cached responses);
+    #: the HTTP layer sends it as an ``ETag`` header.  It does not cover
+    #: fields the handler computes from the sim clock (see
+    #: :func:`response_etag`)
     etag: Optional[str] = None
     #: the ``(cache key, generation)`` pairs :attr:`etag` hashes — the
     #: HTTP layer re-checks them to answer ``If-None-Match`` with a 304
@@ -135,7 +137,7 @@ class FetchScope:
     stale_age_s: Optional[float] = None
     sources: List[str] = field(default_factory=list)
     #: cache key -> entry generation for every cached fetch this request
-    #: made — the raw material of the response's strong ETag
+    #: made — the raw material of the response's ETag
     deps: Dict[str, int] = field(default_factory=dict)
     #: True when any fetch in this scope bypassed the server cache (or
     #: its entry vanished under it) — no validator can be derived then
@@ -169,11 +171,15 @@ def response_etag(
     params: Dict[str, Any],
     deps: Sequence[Tuple[str, int]],
 ) -> str:
-    """Strong ETag for one route response.
+    """ETag for one route response.
 
     Hashes the cache-entry generations the response was computed from,
-    plus everything else that shapes the body (route, viewer identity,
-    params) — so the validator changes exactly when the bytes could.
+    plus the route, viewer identity and params, so it changes whenever
+    an entry the response read is rewritten; the validator index also
+    refuses it once such an entry expires.  The sim clock is not
+    hashed: fields a handler computes from ``ctx.now()`` (elapsed times,
+    durations) can differ under an unchanged ETag, by less than the
+    shortest TTL among the entries the response read.
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(route.encode())
@@ -347,7 +353,7 @@ class RouteRegistry:
             and not scope.uncacheable
         ):
             # every byte of this response is backed by live cache entries:
-            # derive the strong validator the HTTP layer serves as ETag
+            # derive the validator the HTTP layer serves as ETag
             response.cache_deps = tuple(sorted(scope.deps.items()))
             response.etag = response_etag(
                 name, viewer, params, response.cache_deps

@@ -31,7 +31,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.obs.metrics import Histogram, MetricsRegistry, quantile_from_buckets
 
@@ -293,10 +293,6 @@ class AdmissionController:
         self._tier_since = clock.now()
         self._last_eval = clock.now()
         self._signals: Dict[str, Any] = {}
-        #: every tier transition as (sim_time, tier), starting at normal —
-        #: the load harness records this timeline per scenario so a
-        #: brownout-under-load run shows *when* the dashboard degraded
-        self._history: List[Tuple[float, str]] = [(clock.now(), "normal")]
         self._tier_gauge = registry.gauge(
             "repro_brownout_tier",
             "Current admission tier (0=normal, 1=brownout, 2=shed).",
@@ -342,7 +338,6 @@ class AdmissionController:
                 self._tier = tier
                 self._tier_since = now
                 self._transitions.inc(to=tier)
-                self._history.append((now, tier))
             self._last_eval = now
             self._tier_gauge.set(float(TIERS.index(tier)))
 
@@ -433,7 +428,6 @@ class AdmissionController:
                 self._tier = TIERS[new]
                 self._tier_since = now
                 self._transitions.inc(to=self._tier)
-                self._history.append((now, self._tier))
             self._tier_gauge.set(float(new))
             return self._tier
 
@@ -471,16 +465,7 @@ class AdmissionController:
             )
         return AdmissionDecision(True)
 
-    def count_rejection(self, reason: str) -> None:
-        """Count one admission rejection (used by the fetch path)."""
-        self._rejected.inc(reason=reason)
-
     # -- reporting -----------------------------------------------------------
-
-    def tier_history(self) -> List[Tuple[float, str]]:
-        """Every tier transition as ``(sim_time, tier)``, oldest first."""
-        with self._lock:
-            return list(self._history)
 
     def report(self) -> Dict[str, Any]:
         """Tier + signals for ``/healthz`` and the overload report."""

@@ -439,7 +439,7 @@ class ResilientFetcher:
         deadline: Optional[Deadline] = None,
     ) -> Any:
         if deadline is not None and deadline.expired():
-            self._count_rejection("deadline")
+            self._count_rejected("deadline")
             raise DeadlineExceededError(
                 service, deadline.budget_s, deadline.elapsed()
             )
@@ -507,7 +507,7 @@ class ResilientFetcher:
                             # plus another full attempt: stop here, don't
                             # burn backoff the client would never see
                             span.attrs["deadline_exceeded"] = True
-                            self._count_rejection("deadline")
+                            self._count_rejected("deadline")
                             raise DeadlineExceededError(
                                 service, deadline.budget_s, deadline.elapsed()
                             ) from exc
@@ -524,5 +524,5 @@ class ResilientFetcher:
         assert last_exc is not None
         raise last_exc
 
-    def _count_rejection(self, reason: str) -> None:
+    def _count_rejected(self, reason: str) -> None:
         self._rejected_metric.inc(reason=reason)

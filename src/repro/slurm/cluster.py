@@ -23,7 +23,6 @@ from .model import (
     Job,
     JobSpec,
     Node,
-    NodeState,
     Partition,
     QoS,
     TRES,
@@ -170,26 +169,12 @@ class SlurmCluster:
                 return p
         return next(iter(self.partitions.values()))
 
-    def counts_by_node_state(self) -> Dict[NodeState, int]:
-        """Histogram of node states across the cluster."""
-        out: Dict[NodeState, int] = {}
-        for node in self.nodes.values():
-            out[node.state] = out.get(node.state, 0) + 1
-        return out
-
     def total_capacity(self) -> TRES:
         """Sum of configured resources across nodes."""
         cap = TRES()
         for node in self.nodes.values():
             cap = cap + node.capacity
         return cap
-
-    def total_allocated(self) -> TRES:
-        """Sum of currently allocated resources across nodes."""
-        alloc = TRES()
-        for node in self.nodes.values():
-            alloc = alloc + node.alloc
-        return alloc
 
 
 def small_test_cluster(

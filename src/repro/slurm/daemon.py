@@ -135,7 +135,7 @@ class DaemonLoadModel:
             "recent_rate_rps": round(self.recent_rate(now), 4),
             "current_latency_s": round(self.latency_at(now), 6),
             "mean_latency_s": round(self.mean_latency, 6),
-            "rpcs_by_kind": dict(self.rpcs_by_kind),
+            "rpcs_by_kind": dict(sorted(self.rpcs_by_kind.items())),
             "inflight": self.inflight,
             "max_inflight": self.max_inflight,
         }
@@ -295,15 +295,6 @@ class DaemonBus:
     def snapshot(self) -> dict:
         """Snapshots of both daemons, keyed by daemon name."""
         return {"slurmctld": self.ctld.snapshot(), "slurmdbd": self.dbd.snapshot()}
-
-    def rpc_totals(self) -> dict:
-        """Cumulative RPC counts per daemon — cheap to diff around a
-        request window (the load harness A/B uses this to prove a route
-        cost zero on-request ctld RPCs)."""
-        return {
-            "slurmctld": self.ctld.total_rpcs,
-            "slurmdbd": self.dbd.total_rpcs,
-        }
 
     def reset_counters(self) -> None:
         """Zero both daemons' counters."""

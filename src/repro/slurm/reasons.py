@@ -232,12 +232,3 @@ def explain(code: str) -> ReasonInfo:
         "or contact support for details.",
     )
 
-
-def known_codes() -> list[str]:
-    """Every reason code in the catalog."""
-    return list(_CATALOG)
-
-
-def is_known(code: str) -> bool:
-    """True if the code has a curated explanation."""
-    return code in _CATALOG

@@ -50,7 +50,7 @@ class InProcessTransport:
         self.not_modified = 0
 
     def get(self, path: str, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Fetch a route over HTTP; raises TransportError on failure."""
+        """Dispatch a route in-process; raises TransportError on failure."""
         data, _, _ = self.get_conditional(path, params)
         return data
 

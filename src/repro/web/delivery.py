@@ -172,7 +172,11 @@ class ValidatorIndex:
     cache entry the response depended on must still be present, fresh,
     and at the same write generation.  Anything else — evicted entry,
     expired TTL, concurrent rewrite — falls through to a full dispatch,
-    so a 304 can never resurrect stale bytes.
+    so a 304 is never served after an entry the response read has been
+    rewritten or has expired.  Fields the handler computed from the sim
+    clock are not covered: a 304 keeps the client's copy of them, which
+    lags a fresh render by less than the shortest TTL among those
+    entries.
     """
 
     def __init__(self, max_entries: int = 4096):

@@ -31,6 +31,7 @@ _EXPORT_RE = re.compile(
 
 from repro.auth import Viewer
 from repro.core.dashboard import Dashboard
+from repro.core.routes import RouteResponse
 
 # Param validation lives in repro.core.params so widgets can use it without
 # importing the HTTP layer; re-exported here for backwards compatibility.
@@ -84,10 +85,7 @@ class _Handler(BaseHTTPRequestHandler):
             pass
         except Exception as exc:  # noqa: BLE001 - no traceback ever escapes
             try:
-                self._send(
-                    500,
-                    {"ok": False, "error": f"{type(exc).__name__}: {exc}"},
-                )
+                self._send_error(500, f"{type(exc).__name__}: {exc}")
             except OSError:  # headers already sent / socket gone
                 pass
 
@@ -149,7 +147,7 @@ class _Handler(BaseHTTPRequestHandler):
                 parse_qsl(parsed.query, keep_blank_values=True)
             )
         except ParamError as exc:
-            self._send(400, {"ok": False, "error": str(exc), "status": 400})
+            self._send_error(400, str(exc))
             return
         username = self.headers.get("X-Remote-User")
 
@@ -165,7 +163,7 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 limit = positive_int_param(params, "limit")
             except ParamError as exc:
-                self._send(400, {"ok": False, "error": str(exc), "status": 400})
+                self._send_error(400, str(exc))
                 return
             traces = self.dashboard.ctx.obs.tracer.recent(limit)
             self._send(
@@ -180,7 +178,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         if username is None:
-            self._send(401, {"ok": False, "error": "missing X-Remote-User header"})
+            self._send_error(401, "missing X-Remote-User header")
             return
         viewer = Viewer(
             username=username,
@@ -191,10 +189,10 @@ class _Handler(BaseHTTPRequestHandler):
         # accepting malformed values
         deadline, deadline_error = self._deadline_from_headers()
         if deadline_error is not None:
-            self._send(400, {"ok": False, "error": deadline_error, "status": 400})
+            self._send_error(400, deadline_error)
             return
         if parsed.path == "/":
-            self._send_html_stream(self.dashboard.stream_homepage(viewer))
+            self._stream_html(self.dashboard.stream_homepage(viewer))
             return
         request_key = request_cache_key(
             viewer.username, viewer.is_admin, parsed.path, parsed.query
@@ -271,6 +269,11 @@ class _Handler(BaseHTTPRequestHandler):
         body = json.dumps(payload).encode()
         self._send_body(status, body, "application/json", extra=extra)
 
+    def _send_error(self, status: int, error: str) -> None:
+        """A server-level failure in the same envelope every route uses."""
+        envelope = RouteResponse(ok=False, status=status, error=error)
+        self._send(status, envelope.to_json())
+
     def _send_route_response(self, response,
                              request_key: Optional[str] = None) -> None:
         """Send a :class:`RouteResponse`, surfacing backpressure hints.
@@ -278,7 +281,7 @@ class _Handler(BaseHTTPRequestHandler):
         Admission rejections (429/503/504) carry a retry budget; clients
         honouring ``Retry-After`` spread their retries instead of piling
         onto an overloaded daemon.  Responses computed purely from fresh
-        cache entries additionally carry a strong ETag.
+        cache entries additionally carry an ETag.
         """
         extra = []
         retry_after = getattr(response, "retry_after_s", None)
@@ -309,9 +312,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._record_validator(extra, response, request_key, len(body))
         self._send_body(200, body, mime, extra=tuple(extra))
 
-    def _send_html(self, status: int, html: str) -> None:
-        self._send_body(status, html.encode(), "text/html; charset=utf-8")
-
     def _send_body(self, status: int, body: bytes, ctype: str,
                    extra: Tuple[Tuple[str, str], ...] = ()) -> None:
         headers = list(extra)
@@ -338,7 +338,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.command != "HEAD":  # HEAD mirrors headers, omits the body
             self.wfile.write(body)
 
-    def _send_html_stream(self, chunks: Iterable[str]) -> None:
+    def _stream_html(self, chunks: Iterable[str]) -> None:
         """Stream an HTML document under chunked transfer encoding.
 
         Headers flush before the first chunk is rendered, so

@@ -1,9 +1,9 @@
 """Property-based tests for the seeded randomness layer.
 
-The load harness's determinism guarantee bottoms out here: Zipf
-weights must be a valid, monotone distribution for any population
-size, bounded draws must respect their bounds, and the same seed must
-reproduce the same draws — including a full traffic trace.
+The simulator's determinism bottoms out here: Zipf weights (the
+workload generator's user skew) must be a valid, monotone distribution
+for any population size, bounded draws must respect their bounds, and
+the same seed must reproduce the same draws.
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.load import Scenario, build_trace, trace_digest
 from repro.sim.rng import RandomStreams, bounded_lognormal, zipf_weights
 
 
@@ -89,20 +88,3 @@ class TestSeedDeterminism:
         parent = rs.stream("s").integers(0, 10**6, 8)
         assert not (a == b).all()
         assert not (a == parent).all()
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(deadline=None, max_examples=10)
-    def test_same_seed_identical_traffic_trace(self, seed):
-        """The load harness's core guarantee: seed -> one exact trace."""
-        scenario = Scenario(
-            name="prop", seed=seed, duration_s=8.0, users=12, rps=6.0
-        )
-        first = build_trace(scenario)
-        second = build_trace(scenario)
-        assert first == second
-        assert trace_digest(first) == trace_digest(second)
-
-    def test_different_seeds_differ(self):
-        a = build_trace(Scenario(name="prop", seed=1, duration_s=10.0))
-        b = build_trace(Scenario(name="prop", seed=2, duration_s=10.0))
-        assert trace_digest(a) != trace_digest(b)

@@ -1,15 +1,16 @@
 """HTTP delivery layer: conditional GET, gzip, streamed homepage.
 
 End to end over a real socket where possible: an unchanged widget costs
-a 304 with zero render work and zero body bytes, gzip negotiates and
-never changes the decoded HTML, the streamed homepage is byte-identical
-to the batch render, and the wire-layer bugfix sweep (export deadlines,
-Content-Disposition hygiene, blank/duplicate query params) stays fixed.
+a 304 with zero render work and zero body bytes, gzip and the streamed
+homepage negotiate and frame their responses as advertised, and the
+wire-layer bugfix sweep (export deadlines, Content-Disposition hygiene,
+blank/duplicate query params) stays fixed.  That every delivery arm
+yields the same decoded bytes is checked once, for every route, by
+``tests/integration/test_same_bytes.py``.
 """
 
 from __future__ import annotations
 
-import gzip
 import json
 import urllib.error
 import urllib.request
@@ -188,7 +189,7 @@ class TestValidatorIndexUnit:
 
 
 class TestGzip:
-    def test_negotiated_gzip_decodes_to_identical_bytes(self, served):
+    def test_negotiated_gzip_is_smaller_and_varies(self, served):
         server, dash, directory = served
         user = directory.users()[0].username
         _, _, plain = request(server, WIDGET, username=user)
@@ -200,7 +201,6 @@ class TestGzip:
         assert headers["Content-Encoding"] == "gzip"
         assert headers["Vary"] == "Accept-Encoding"
         assert len(body) < len(plain)
-        assert gzip.decompress(body) == plain
         assert dash.ctx.obs.http_bytes_saved.value(reason="gzip") > 0
 
     def test_no_accept_encoding_gets_identity_with_vary(self, served):
@@ -255,31 +255,21 @@ class TestGzip:
 
 
 class TestStreamedHomepage:
-    def test_streamed_document_is_byte_identical_to_batch(self, served):
-        server, dash, directory = served
-        from repro.auth import Viewer
-
+    def test_streamed_homepage_is_chunked_in_either_encoding(self, served):
+        server, _, directory = served
         user = directory.users()[0].username
-        status, headers, body = request(server, "/", username=user)
+        status, headers, _ = request(server, "/", username=user)
         assert status == 200
         assert headers["Transfer-Encoding"] == "chunked"
         assert headers.get("Content-Length") is None
-        batch = dash.render_homepage(
-            Viewer(username=user), parallel=False
-        ).document
-        assert body.decode() == batch
-
-    def test_streamed_gzip_decodes_to_the_same_document(self, served):
-        server, dash, directory = served
-        user = directory.users()[0].username
-        _, _, plain = request(server, "/", username=user)
-        status, headers, body = request(
+        assert headers.get("Content-Encoding") is None
+        status, headers, _ = request(
             server, "/", username=user, headers={"Accept-Encoding": "gzip"}
         )
         assert status == 200
         assert headers["Content-Encoding"] == "gzip"
         assert headers["Transfer-Encoding"] == "chunked"
-        assert gzip.decompress(body) == plain
+        assert headers["Vary"] == "Accept-Encoding"
 
     def test_widget_failure_degrades_one_slot_not_the_stream(self, served):
         server, dash, directory = served

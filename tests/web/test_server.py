@@ -55,6 +55,24 @@ class TestHttpApi:
         with pytest.raises(urllib.error.HTTPError) as exc:
             fetch(server, "/api/v1/widgets/recent_jobs")
         assert exc.value.code == 401
+        payload = json.loads(exc.value.read())
+        assert set(payload) == {"ok", "route", "status", "degraded", "error"}
+        assert payload["status"] == 401 and payload["ok"] is False
+
+    def test_unhandled_server_error_is_a_500_envelope(self, served, monkeypatch):
+        server, dash, _ = served
+
+        def boom():
+            raise RuntimeError("healthz exploded")
+
+        monkeypatch.setattr(dash, "healthz_payload", boom)
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            fetch(server, "/healthz")
+        assert exc.value.code == 500
+        payload = json.loads(exc.value.read())
+        assert set(payload) == {"ok", "route", "status", "degraded", "error"}
+        assert payload["status"] == 500
+        assert payload["error"] == "RuntimeError: healthz exploded"
 
     def test_widget_route(self, served):
         server, _, directory = served

@@ -308,38 +308,6 @@ halting under brownout (set `FANOUT_SMOKE=1` for the CI-sized run).
 """
 
 
-LOAD_SECTION = """\
-## Load harness
-
-`repro.load` turns the simulated deployment into a standing benchmark:
-it replays realistic user populations against the real HTTP server on
-the sim clock and records the result in a schema'd `BENCH_load.json`
-(see `docs/BENCHMARKS.md` for both schemas and the trajectory
-workflow).
-
-1. **Deterministic traffic** — a `Scenario` describes Zipf-skewed users
-   (`repro.sim.rng.zipf_weights`), a weighted route mix over the
-   paper's pages (homepage heaviest), Poisson arrivals with optional
-   burst windows, and scheduled fault windows. `build_trace` expands it
-   into a concrete request list using named seeded streams; the trace
-   is SHA-256 hashed, and two same-seed runs must agree on the digest.
-   Wall-clock latency is the *only* thing allowed to vary.
-2. **Real replay** — the harness stands up a populated dashboard plus
-   `DashboardServer` and fires the trace tick by tick (open loop: every
-   arrival fires; closed loop: in-flight bounded at `clients` — same
-   trace either way). A tick drains completely before the sim clock
-   advances, so TTL expiry and fault windows land exactly on schedule.
-   Per scenario it records p50/p95/p99 latency, offered/achieved RPS,
-   ctld RPCs per request, cache hit rate, stale serves, shed rate, the
-   admission-tier timeline, and the server cache's lock contention
-   (`TTLCache.lock_stats`).
-
-`python tools/bench_report.py run` writes and validates the BENCH file
-and prints the trajectory diff against the previous run; the CI
-`smoke` job does the same at `LOAD_SMOKE=1` sizing on every push.
-"""
-
-
 DELIVERY_SECTION = """\
 ## HTTP delivery
 
@@ -350,14 +318,18 @@ client could start parsing:
 1. **Conditional GET** — every cache write bumps a monotonic per-entry
    *generation* (`TTLCache.generation_of`). A route render records
    which cache entries it read (`FetchScope.note_dep`), and a
-   fully-cached, non-degraded response gets a strong `ETag` derived
-   from the route, viewer, params, and those `(key, generation)` pairs.
-   The server keeps a bounded per-`(viewer, path, query)`
-   `ValidatorIndex`; a request presenting `If-None-Match` whose every
-   dependency is still fresh at the same generation is answered `304
-   Not Modified` with **zero route renders and zero body bytes**. Any
-   upstream rewrite — even to an equal value — bumps the generation and
-   invalidates the validator, so a stale `304` is impossible.
+   fully-cached, non-degraded response gets an `ETag` derived from the
+   route, viewer, params, and those `(key, generation)` pairs. The
+   server keeps a bounded per-`(viewer, path, query)` `ValidatorIndex`;
+   a request presenting `If-None-Match` whose every dependency is still
+   fresh at the same generation is answered `304 Not Modified` with
+   **zero route renders and zero body bytes**. Any upstream rewrite —
+   even to an equal value — bumps the generation and invalidates the
+   validator, so a `304` is never served after a cache entry the
+   response read has been rewritten or has expired. The `ETag` does not
+   hash the sim clock: fields a handler computes from it (`elapsed`,
+   durations, wait times) can lag a fresh render by less than the
+   shortest TTL among the entries the response read.
 2. **gzip** — negotiated from `Accept-Encoding` q-values; compressible
    bodies (HTML, JSON, CSV, SVG) at or above 500 bytes are compressed
    deterministically (`mtime=0`), swapped in only when actually
@@ -384,11 +356,14 @@ The metric families:
 | `repro_http_not_modified_total` | `kind` | requests answered `304` |
 | `repro_http_bytes_saved_total` | `reason` (`not_modified` / `gzip`) | body bytes not sent on the wire |
 
-`benchmarks/test_perf_delivery.py` measures the A/B (revalidation and
-compression savings, streamed/decoded byte-identity — recorded as the
-`delivery` section of `BENCH_load.json`; `DELIVERY_SMOKE=1` for CI),
-and `tools/metrics_smoke.py` drives one live `304` over the wire and
-fails if the delivery families are missing from `/metrics`.
+`tests/integration/test_same_bytes.py` replays one request list over
+every route through each delivery arm (identity, gzip decoded,
+in-process dispatch with the sequential and the parallel homepage
+render, HEAD against GET, and a client that revalidates with
+`If-None-Match`) and asserts the same status and decoded body for every
+request; the revalidating arm is a strict `xfail` for the lagging
+`304` above. `tools/metrics_smoke.py` drives one live `304` over the
+wire and fails if the delivery families are missing from `/metrics`.
 """
 
 
@@ -409,7 +384,6 @@ def render() -> str:
         OBSERVABILITY_SECTION,
         ADMISSION_SECTION,
         FANOUT_SECTION,
-        LOAD_SECTION,
         DELIVERY_SECTION,
     ]
     seen = set()
