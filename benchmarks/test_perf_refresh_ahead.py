@@ -1,33 +1,26 @@
-"""P6 — refresh-ahead caching + parallel widget fan-out.
+"""P6 — refresh-ahead caching.
 
-Two latency claims layered on the caching story of §2.4:
+A latency claim layered on the caching story of §2.4:
 
 * **refresh-ahead** keeps hot keys perpetually warm: once a key is
   popular, lookups landing in its soft-TTL window are served from cache
   instantly while a *background* revalidation rewrites the entry — in
   steady state the request path issues **zero** backend RPCs;
-* **scatter-gather fan-out** renders the homepage's independent widgets
-  concurrently on the shared worker pool, collapsing page latency from
-  the sum of the widget costs to roughly the slowest widget — with
-  byte-identical output;
 * and refresh-ahead is **load-aware**: outside the ``normal`` admission
   tier the arming gate closes, so background revalidation can never
   deepen a brownout, and it resumes the moment the tier recovers.
 
-Set ``FANOUT_SMOKE=1`` to run with reduced sizes (CI smoke).
+Set ``REFRESH_AHEAD_SMOKE=1`` to run with reduced sizes (CI smoke).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
-import time
 
 from .conftest import fresh_world
 
-SMOKE = os.environ.get("FANOUT_SMOKE") == "1"
+SMOKE = os.environ.get("REFRESH_AHEAD_SMOKE") == "1"
 STEADY_CYCLES = 3 if SMOKE else 8
-WIDGET_DELAY_S = 0.02 if SMOKE else 0.05
 
 
 def captured_runner(cache):
@@ -79,64 +72,6 @@ def test_perf_refresh_ahead_zero_request_rpcs(report):
         f"{sum(request_rpcs)} on-request slurmctld RPCs "
         f"({STEADY_CYCLES} background refreshes, "
         f"{int(served)} hits served while revalidating)",
-    )
-
-
-def test_perf_homepage_fanout_max_not_sum(report):
-    """(b) Homepage latency ≈ slowest widget, not Σ(widgets), with
-    byte-identical output vs the sequential baseline."""
-    dash, _, viewer = fresh_world(seed=17, hours=1.0)
-
-    def slowed(handler):
-        def wrapped(ctx, v, params):
-            time.sleep(WIDGET_DELAY_S)  # simulated per-widget backend cost
-            return handler(ctx, v, params)
-
-        return wrapped
-
-    from repro.core.pages.homepage import HOMEPAGE_WIDGETS
-
-    originals = {}
-    for name in HOMEPAGE_WIDGETS:
-        route = next(r for r in dash.registry.all_routes() if r.name == name)
-        originals[name] = route
-        dash.registry.unregister(name)
-        dash.registry.register(
-            dataclasses.replace(route, handler=slowed(route.handler))
-        )
-
-    n = len(HOMEPAGE_WIDGETS)
-    try:
-        dash.render_homepage(viewer, parallel=False)  # warm caches
-
-        t0 = time.perf_counter()
-        seq = dash.render_homepage(viewer, parallel=False)
-        seq_wall = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        par = dash.render_homepage(viewer, parallel=True)
-        par_wall = time.perf_counter() - t0
-    finally:
-        for name, route in originals.items():
-            dash.registry.unregister(name)
-            dash.registry.register(route)
-
-    assert par.html == seq.html, "fan-out must not change a byte"
-    assert not par.failures and not seq.failures
-    assert seq_wall >= n * WIDGET_DELAY_S, "baseline must pay every widget"
-    assert par_wall < seq_wall / 2, (
-        f"fan-out must at least halve page latency: "
-        f"sequential {seq_wall * 1000:.1f} ms, parallel {par_wall * 1000:.1f} ms"
-    )
-    report(
-        "",
-        "P6b: homepage scatter-gather fan-out "
-        f"({n} widgets x {WIDGET_DELAY_S * 1000:.0f} ms simulated cost)",
-        f"{'path':>12s} {'wall ms':>9s}",
-        f"{'sequential':>12s} {seq_wall * 1000:>9.1f}",
-        f"{'parallel':>12s} {par_wall * 1000:>9.1f}",
-        f"speedup: {seq_wall / par_wall:.1f}x (ideal {n:.0f}x), "
-        "pages byte-identical",
     )
 
 

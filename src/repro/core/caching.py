@@ -17,7 +17,7 @@ the daemons see one query, not one per concurrent request.
 Hot keys additionally support **refresh-ahead** (stale-while-
 revalidate): a lookup that lands between the *soft* TTL and the hard
 expiry returns the cached value immediately and arms a deduplicated
-background revalidation on the dashboard's shared worker pool (see
+background revalidation on the dashboard's worker pool (see
 :mod:`repro.core.workers`), so a warm hot key never blocks a user
 request on a backend RPC.  The background refresh reuses the same
 per-key ``_InFlight`` machinery as coalescing — at most one compute per
@@ -238,8 +238,8 @@ class TTLCache:
     ``follower_timeout_s``) instead of each hitting the backend, so a
     popular key expiring under load costs one backend query, not N.
 
-    When a :attr:`refresh_runner` is wired (the dashboard wires the
-    shared :class:`~repro.core.workers.WorkerPool`), lookups may also
+    When a :attr:`refresh_runner` is wired (the dashboard wires
+    its :class:`~repro.core.workers.WorkerPool`), lookups may also
     pass ``soft_ttl``/``refresh`` to get **refresh-ahead**: a fresh hit
     whose age has reached ``soft_ttl`` is served immediately and a
     single-flight background revalidation is enqueued, keyed through the
@@ -255,15 +255,12 @@ class TTLCache:
     """
 
     def __init__(self, clock: SimClock, default_ttl: float = 60.0, max_entries: int = 10_000,
-                 registry: Optional[MetricsRegistry] = None, coalesce: bool = True):
+                 registry: Optional[MetricsRegistry] = None):
         if default_ttl <= 0:
             raise ValueError("default_ttl must be positive")
         self.clock = clock
         self.default_ttl = default_ttl
         self.max_entries = max_entries
-        #: single-flight coalescing switch (off reproduces the historic
-        #: every-thread-computes behaviour, for A/B benchmarks)
-        self.coalesce = coalesce
         self._entries: Dict[str, CacheEntry] = {}
         #: write counter stamped onto every stored entry (under the lock),
         #: so (key, generation) uniquely names one stored value
@@ -444,20 +441,19 @@ class TTLCache:
                     value=entry.value, result="hit", refreshing=refreshing
                 )
             had_expired = entry is not None
-            if self.coalesce:
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _InFlight(threading.get_ident())
-                    self._inflight[key] = flight
-                    self._sync_gauges_locked()
-                elif flight.leader_thread == threading.get_ident():
-                    # our own compute reentered the same key: computing
-                    # again is safe, waiting on ourselves never returns
-                    flight = None
-                else:
-                    flight.waiters += 1
-                    self._coalesced_waiters.inc(source=_source_of(key))
-                    role = "follower"
+            flight = self._inflight.get(key)
+            if flight is None:
+                flight = _InFlight(threading.get_ident())
+                self._inflight[key] = flight
+                self._sync_gauges_locked()
+            elif flight.leader_thread == threading.get_ident():
+                # our own compute reentered the same key: computing
+                # again is safe, waiting on ourselves never returns
+                flight = None
+            else:
+                flight.waiters += 1
+                self._coalesced_waiters.inc(source=_source_of(key))
+                role = "follower"
         if role == "follower":
             assert flight is not None
             return self._await_leader(

@@ -56,8 +56,6 @@ class Dashboard:
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerConfig] = None,
         admission: Optional[AdmissionConfig] = None,
-        worker_pool_size: int = 8,
-        worker_queue_max: int = 64,
     ):
         if quotas is None:
             quotas = QuotaDatabase()
@@ -81,8 +79,6 @@ class Dashboard:
             retry=retry,
             breaker=breaker,
             admission=admission,
-            worker_pool_size=worker_pool_size,
-            worker_queue_max=worker_queue_max,
         )
         self.registry = RouteRegistry()
         for route in (*ALL_WIDGET_ROUTES, *ALL_PAGE_ROUTES, EXPORT_ROUTE):
@@ -115,17 +111,14 @@ class Dashboard:
 
     # -- page rendering ---------------------------------------------------------
 
-    def render_homepage(self, viewer: Viewer, parallel: bool = True) -> HomepageRender:
-        """Fetch every widget and render the full homepage (Figure 2).
-
-        Widgets fan out concurrently on the shared worker pool by
-        default; ``parallel=False`` renders sequentially (same bytes,
-        Σ(widget) latency — the benchmark baseline)."""
-        return render_homepage(self.ctx, self.registry, viewer, parallel=parallel)
+    def render_homepage(self, viewer: Viewer) -> HomepageRender:
+        """Fetch every widget and render the full homepage (Figure 2),
+        one widget route after another on the calling thread."""
+        return render_homepage(self.ctx, self.registry, viewer)
 
     def stream_homepage(self, viewer: Viewer):
         """Stream the homepage in document-order chunks: the static shell
-        first, each widget slot as its fan-out worker completes.  The
+        first, then each widget slot as soon as it is rendered.  The
         concatenated chunks match :meth:`render_homepage`'s document (the
         HTTP layer serves this under chunked transfer encoding)."""
         return stream_homepage(self.ctx, self.registry, viewer)

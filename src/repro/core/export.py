@@ -19,6 +19,7 @@ from xml.sax.saxutils import escape as xml_escape
 from repro.auth import Viewer
 from repro.slurm.accounting import UsageRollup
 
+from .params import ParamError
 from .routes import ApiRoute, DashboardContext
 
 CSV_HEADERS = [
@@ -97,7 +98,7 @@ def export_route_handler(ctx: DashboardContext, viewer: Viewer, params: dict) ->
     """Route handler: export payload as JSON-wrapped text."""
     account = params.get("account")
     if not account:
-        raise ValueError("missing required parameter 'account'")
+        raise ParamError("missing required parameter 'account'")
     fmt = str(params.get("format", "csv"))
     if fmt == "csv":
         content, mime = export_csv(ctx, viewer, str(account)), "text/csv"
@@ -107,7 +108,7 @@ def export_route_handler(ctx: DashboardContext, viewer: Viewer, params: dict) ->
             "application/vnd.ms-excel",
         )
     else:
-        raise ValueError(f"unknown export format {fmt!r}")
+        raise ParamError(f"unknown export format {fmt!r}")
     return {
         "account": account,
         "format": fmt,

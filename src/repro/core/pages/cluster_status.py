@@ -18,6 +18,7 @@ from repro.auth import Viewer
 from repro.slurm.model import NodeState
 
 from ..colors import node_state_color
+from ..params import ParamError
 from ..records import NodeRecord
 from ..rendering import data_table, el, node_grid_cell
 from ..routes import ApiRoute, DashboardContext
@@ -39,7 +40,7 @@ def cluster_status_data(
     sort_by = str(params.get("sort", "name"))
     descending = bool(params.get("desc", False))
     if sort_by not in SORTABLE_COLUMNS:
-        raise ValueError(
+        raise ParamError(
             f"cannot sort by {sort_by!r}; expected one of {sorted(SORTABLE_COLUMNS)}"
         )
 

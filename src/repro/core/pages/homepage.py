@@ -25,6 +25,7 @@ from ..rendering import (
 )
 from ..routes import ApiRoute, DashboardContext, RouteRegistry, RouteResponse
 from ..widgets import ALL_WIDGET_ROUTES, WIDGET_RENDERERS
+from ..workers import TaskOutcome
 
 #: widget order on the homepage (Figure 2 layout)
 HOMEPAGE_WIDGETS = tuple(route.name for route in ALL_WIDGET_ROUTES)
@@ -60,52 +61,27 @@ def render_homepage_shell(username: str):
     return page_shell("homepage", username, el("div", *slots, cls="widget-grid"))
 
 
-def _widget_responses(
-    ctx: DashboardContext,
-    registry: RouteRegistry,
-    viewer: Viewer,
-    parallel: bool,
-) -> List[RouteResponse]:
-    """One :class:`RouteResponse` per homepage widget, in slot order.
-
-    The parallel path scatter-gathers the five route calls on the shared
-    worker pool — page latency becomes ≈max(widget) instead of
-    Σ(widgets) — while keeping the sequential path's contract exactly:
-    deterministic :data:`HOMEPAGE_WIDGETS` order, and per-widget failure
-    isolation (``registry.call`` already catches handler errors; an
-    escape from the fan-out machinery itself is synthesized into that
-    slot's 500 envelope rather than breaking its siblings).
-    """
-    if not parallel:
-        return [registry.call(ctx, name, viewer) for name in HOMEPAGE_WIDGETS]
-    outcomes = ctx.scatter(
-        [partial(registry.call, ctx, name, viewer) for name in HOMEPAGE_WIDGETS]
-    )
-    responses: List[RouteResponse] = []
-    for name, outcome in zip(HOMEPAGE_WIDGETS, outcomes):
-        if outcome.error is not None:
-            responses.append(
-                RouteResponse(
-                    ok=False,
-                    error=f"{type(outcome.error).__name__}: {outcome.error}",
-                    status=500,
-                    route=name,
-                )
-            )
-        else:
-            responses.append(outcome.value)
-    return responses
-
-
 def _render_slot(
-    name: str, response: RouteResponse
+    name: str, outcome: TaskOutcome
 ) -> Tuple[Any, Optional[str], Optional[float]]:
-    """Render one widget slot from its route response.
+    """Render one widget slot from its route call's outcome.
 
     Returns ``(slot_element, failure, stale_age_s)`` — the single code
     path both the batch render and the streamed render fill slots
     through, so the two can never drift apart byte-wise.
+    ``registry.call`` already catches handler errors; an escape from the
+    dispatch itself is synthesized into that slot's 500 envelope rather
+    than breaking its siblings.
     """
+    if outcome.error is None:
+        response = outcome.value
+    else:
+        response = RouteResponse(
+            ok=False,
+            error=f"{type(outcome.error).__name__}: {outcome.error}",
+            status=500,
+            route=name,
+        )
     failure: Optional[str] = None
     stale_age: Optional[float] = None
     if response.ok:
@@ -131,26 +107,24 @@ def render_homepage(
     ctx: DashboardContext,
     registry: RouteRegistry,
     viewer: Viewer,
-    parallel: bool = True,
 ) -> "HomepageRender":
     """Fetch every widget through its route and render the filled page.
 
     A failing widget renders an error block in its slot; the others are
-    unaffected — the modularity contract the benchmarks verify.  Widget
-    routes are fetched concurrently by default (``parallel=False`` keeps
-    the historic sequential walk, the benchmark baseline); both paths
-    produce byte-identical pages.
+    unaffected — the modularity contract the benchmarks verify.  The
+    widget routes run one after another on the calling thread.
     """
     with ctx.obs.tracer.span(
-        "page:homepage", kind="page",
-        attrs={"viewer": viewer.username, "parallel": parallel},
+        "page:homepage", kind="page", attrs={"viewer": viewer.username}
     ):
-        responses = _widget_responses(ctx, registry, viewer, parallel)
+        outcomes = ctx.workers.scatter_gather(
+            [partial(registry.call, ctx, name, viewer) for name in HOMEPAGE_WIDGETS]
+        )
     slots = []
     failures: Dict[str, str] = {}
     degraded: Dict[str, float] = {}
-    for name, response in zip(HOMEPAGE_WIDGETS, responses):
-        slot, failure, stale_age = _render_slot(name, response)
+    for name, outcome in zip(HOMEPAGE_WIDGETS, outcomes):
+        slot, failure, stale_age = _render_slot(name, outcome)
         if failure is not None:
             failures[name] = failure
         if stale_age is not None:
@@ -203,13 +177,14 @@ def _streaming_segments(username: str, tier: str) -> List[str]:
 def stream_homepage(
     ctx: DashboardContext, registry: RouteRegistry, viewer: Viewer
 ) -> Iterator[str]:
-    """Stream the homepage: shell first, widget slots as they complete.
+    """Stream the homepage: shell first, then each widget slot as soon
+    as it is rendered.
 
     Yields the document in chunks — the static shell up to the first
-    slot immediately (widget calls are already in flight on the worker
-    pool by then), then each slot plus its trailing static HTML in
-    :data:`HOMEPAGE_WIDGETS` order as the fan-out workers finish.
-    Time-to-first-byte therefore decouples from the slowest widget.
+    slot before any widget runs, then each slot plus its trailing static
+    HTML in :data:`HOMEPAGE_WIDGETS` order, each widget's route called
+    only when its chunk is asked for.  Time-to-first-byte therefore does
+    not wait for any widget.
 
     The concatenated chunks are byte-identical to
     ``render_homepage(...).document`` rendered at the same instant, with
@@ -223,21 +198,12 @@ def stream_homepage(
     ):
         tier = ctx.admission.tier
         segments = _streaming_segments(viewer.username, tier)
-        outcomes = ctx.scatter_stream(
+        outcomes = ctx.workers.scatter_stream(
             [partial(registry.call, ctx, name, viewer) for name in HOMEPAGE_WIDGETS]
         )
         yield segments[0]
         for i, (name, outcome) in enumerate(zip(HOMEPAGE_WIDGETS, outcomes)):
-            if outcome.error is not None:
-                response = RouteResponse(
-                    ok=False,
-                    error=f"{type(outcome.error).__name__}: {outcome.error}",
-                    status=500,
-                    route=name,
-                )
-            else:
-                response = outcome.value
-            slot, _, _ = _render_slot(name, response)
+            slot, _, _ = _render_slot(name, outcome)
             yield slot.render() + segments[i + 1]
 
 

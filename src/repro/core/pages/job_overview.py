@@ -24,6 +24,7 @@ from repro.slurm.model import JobState, format_memory
 
 from ..colors import job_state_color, job_state_label
 from ..efficiency import compute_efficiency
+from ..params import ParamError, positive_int_param
 from ..records import JobRecord
 from ..rendering import badge, card, data_table, el, tabs, timeline
 from ..routes import ApiRoute, DashboardContext, scatter_sections
@@ -33,10 +34,9 @@ def job_overview_data(
     ctx: DashboardContext, viewer: Viewer, params: Dict[str, Any]
 ) -> Dict[str, Any]:
     """Route handler: everything the Job Overview page shows for one job."""
-    raw_id = params.get("job_id")
-    if raw_id is None:
-        raise ValueError("missing required parameter 'job_id'")
-    job_id = int(raw_id)
+    job_id = positive_int_param(params, "job_id")
+    if job_id is None:
+        raise ParamError("missing required parameter 'job_id'")
     rec = ctx.job_record(job_id)
 
     # privacy: the page itself is visible to the submitter and group
@@ -50,9 +50,17 @@ def job_overview_data(
         )
 
     now = ctx.now()
-    tz_offset = int(params.get("tz_offset_minutes", 0))
-    # the six sections only depend on the record fetched above, so they
-    # build concurrently on the shared worker pool (declared order kept)
+    tz_offset = params.get("tz_offset_minutes", 0)
+    if (
+        isinstance(tz_offset, bool)
+        or not isinstance(tz_offset, int)
+        or not -24 * 60 <= tz_offset <= 24 * 60
+    ):
+        raise ParamError(
+            "query param 'tz_offset_minutes' must be an integer in "
+            f"[-1440, 1440], got {tz_offset!r}"
+        )
+    # the six sections only depend on the record fetched above
     return scatter_sections(
         ctx,
         (

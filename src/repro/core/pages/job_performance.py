@@ -14,6 +14,7 @@ from repro.auth import Viewer
 from repro.sim.clock import duration_hms
 
 from ..efficiency import mean_efficiency
+from ..params import ParamError
 from ..rendering import card, el
 from ..routes import ApiRoute, DashboardContext
 
@@ -37,14 +38,22 @@ def resolve_range(
     """
     now = ctx.now()
     if "start" in params or "end" in params:
-        start = ctx.clock.parse_iso(params["start"]) if "start" in params else None
-        end = ctx.clock.parse_iso(params["end"]) if "end" in params else None
+        try:
+            start, end = (
+                ctx.clock.parse_iso(str(params[k])) if k in params else None
+                for k in ("start", "end")
+            )
+        except ValueError:
+            raise ParamError(
+                "custom range start/end must be ISO timestamps "
+                "(YYYY-MM-DDTHH:MM:SS)"
+            ) from None
         if start is not None and end is not None and end < start:
-            raise ValueError("custom range ends before it starts")
+            raise ParamError("custom range ends before it starts")
         return start, end, "custom"
     name = str(params.get("range", "7d"))
     if name not in TIME_RANGES:
-        raise ValueError(
+        raise ParamError(
             f"unknown range {name!r}; expected one of {sorted(TIME_RANGES)}"
         )
     back = TIME_RANGES[name]

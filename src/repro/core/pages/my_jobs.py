@@ -26,6 +26,7 @@ from repro.slurm.model import JobState, format_memory
 from ..charts import gpu_hour_distribution, job_state_distribution
 from ..colors import job_state_color, job_state_label
 from ..efficiency import compute_efficiency, efficiency_warnings
+from ..params import ParamError
 from ..records import JobRecord
 from ..rendering import badge, data_table, el, tooltip_span
 from ..routes import ApiRoute, DashboardContext
@@ -50,7 +51,7 @@ def my_jobs_data(
         try:
             wanted = JobState(state_filter)
         except ValueError:
-            raise ValueError(f"unknown state filter {state_filter!r}") from None
+            raise ParamError(f"unknown state filter {state_filter!r}") from None
         records = [r for r in records if r.state is wanted]
     if search:
         records = [

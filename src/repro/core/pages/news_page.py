@@ -14,6 +14,7 @@ from repro.auth import Viewer
 from repro.news.api import Category
 
 from ..colors import announcement_color, announcement_style
+from ..params import ParamError
 from ..rendering import accordion, el
 from ..routes import ApiRoute, DashboardContext
 
@@ -28,7 +29,7 @@ def news_page_data(
         try:
             cat = Category(str(category))
         except ValueError:
-            raise ValueError(
+            raise ParamError(
                 f"unknown category {category!r}; expected one of "
                 f"{[c.value for c in Category]}"
             ) from None

@@ -15,6 +15,7 @@ from repro.sim.clock import duration_hms
 from repro.slurm.model import NodeState, format_memory
 
 from ..colors import node_state_color, utilization_color
+from ..params import ParamError
 from ..records import NodeRecord
 from ..rendering import card, data_table, el, progress_bar, tabs
 from ..routes import ApiRoute, DashboardContext, scatter_sections
@@ -42,11 +43,10 @@ def node_overview_data(
     """Route handler: cards + tabs for one node (``params['node']``)."""
     name = params.get("node")
     if not name:
-        raise ValueError("missing required parameter 'node'")
+        raise ParamError("missing required parameter 'node'")
     rec = ctx.node_record(str(name))
     now = ctx.now()
-    # the four blocks derive independently from the record fetched above,
-    # so they build concurrently on the shared worker pool
+    # the four blocks derive independently from the record fetched above
     data = scatter_sections(
         ctx,
         (

@@ -22,7 +22,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.auth import Directory, PermissionDenied, PermissionPolicy, Viewer
 from repro.faults import (
@@ -57,7 +57,7 @@ from repro.storage.quota import DirectoryQuota, QuotaDatabase
 from .caching import CachePolicy, TTLCache
 from .params import ParamError
 from .records import JobRecord, NodeRecord
-from .workers import TaskOutcome, WorkerPool
+from .workers import WorkerPool
 
 RouteHandler = Callable[["DashboardContext", Viewer, Dict[str, Any]], Dict[str, Any]]
 
@@ -129,8 +129,9 @@ class FetchScope:
     """Per-request record of degraded fetches, filled in by
     :meth:`DashboardContext._cached` while a route handler runs.
 
-    During a scatter-gather fan-out one scope is shared by several
-    worker threads, so :meth:`note` mutates under a lock.
+    A scope is opened and filled on its request's own thread; its
+    mutators still take a lock, so a scope handed to another thread
+    stays consistent.
     """
 
     degraded: bool = False
@@ -411,8 +412,6 @@ class DashboardContext:
         slow_request_ms: float = 250.0,
         max_traces: int = 100,
         admission: Optional[AdmissionConfig] = None,
-        worker_pool_size: int = 8,
-        worker_queue_max: int = 64,
     ):
         self.cluster = cluster
         self.directory = directory
@@ -452,14 +451,10 @@ class DashboardContext:
             clock=cluster.clock,
         )
         self.fetcher.controller = self.admission
-        # shared bounded pool: refresh-ahead revalidation and page fan-out
-        # compete for the same threads, so background work can never
-        # out-grow the configured capacity
-        self.workers = WorkerPool(
-            max_workers=worker_pool_size,
-            max_queue=worker_queue_max,
-            registry=self.obs.registry,
-        )
+        # bounded pool for refresh-ahead revalidation, so background work
+        # can never out-grow its thread count; page slots run on the
+        # request thread through its scatter_gather/scatter_stream
+        self.workers = WorkerPool(registry=self.obs.registry)
         self.cache.refresh_runner = self.workers.try_submit
         # refresh-ahead arms only in the normal tier: brownout/shed means
         # the backends need less traffic, not proactive revalidation
@@ -526,72 +521,6 @@ class DashboardContext:
         """The deadline of the request this thread is serving, if any."""
         stack = self._deadline_stack()
         return stack[-1] if stack else None
-
-    # -- scatter-gather fan-out ----------------------------------------------
-
-    def _fanout_wrapper(self) -> Callable[[Callable[[], Any]], Callable[[], Any]]:
-        """Build the context-propagation wrapper fan-out thunks run under.
-
-        Captures the calling request's context *now* (on the request
-        thread): its :class:`~repro.faults.Deadline` (one common budget,
-        charged under a lock), its open fetch scopes (so degraded
-        fetches inside the fan-out still mark the response envelope),
-        and its innermost open span (so widget spans nest under the page
-        span instead of becoming disconnected roots).
-        """
-        deadline = self.current_deadline()
-        scopes = list(self._scope_stack())
-        parent_span = self.obs.tracer.current()
-
-        def wrap(fn: Callable[[], Any]) -> Callable[[], Any]:
-            def run() -> Any:
-                # re-entrant (inline) execution already has the request's
-                # stacks on this thread — only graft what is missing, or
-                # one fetch would note the same scope twice
-                scope_stack = self._scope_stack()
-                present = {id(s) for s in scope_stack}
-                added = [s for s in scopes if id(s) not in present]
-                scope_stack.extend(added)
-                deadline_stack = self._deadline_stack()
-                pushed_deadline = (
-                    deadline is not None and self.current_deadline() is not deadline
-                )
-                if pushed_deadline:
-                    deadline_stack.append(deadline)
-                try:
-                    with self.obs.tracer.attach(parent_span):
-                        return fn()
-                finally:
-                    if pushed_deadline:
-                        deadline_stack.pop()
-                    if added:
-                        del scope_stack[-len(added):]
-
-            return run
-
-        return wrap
-
-    def scatter(self, thunks: Sequence[Callable[[], Any]]) -> List[TaskOutcome]:
-        """Run independent thunks concurrently on the shared worker pool,
-        with this request's context propagated into every worker.
-
-        Outcomes come back in input order, one per thunk, failures
-        isolated per slot (see :meth:`_fanout_wrapper` for what each
-        worker inherits).
-        """
-        wrap = self._fanout_wrapper()
-        return self.workers.scatter_gather([wrap(fn) for fn in thunks])
-
-    def scatter_stream(
-        self, thunks: Sequence[Callable[[], Any]]
-    ) -> Iterator[TaskOutcome]:
-        """:meth:`scatter`, but yielding each outcome in input order as
-        soon as it (and its predecessors) complete — no barrier on the
-        slowest thunk.  The streamed homepage flushes widget slots
-        through this, so time-to-first-slot tracks the fastest widgets
-        instead of the slowest."""
-        wrap = self._fanout_wrapper()
-        return self.workers.scatter_stream([wrap(fn) for fn in thunks])
 
     # -- observability -------------------------------------------------------
 
@@ -830,16 +759,16 @@ def scatter_sections(
     ctx: DashboardContext,
     sections: Sequence[Tuple[str, Callable[[], Any]]],
 ) -> Dict[str, Any]:
-    """Build a page's independent sections concurrently.
+    """Build a page's independent sections in declared order.
 
     ``sections`` is ``(name, thunk)`` pairs; the result dict preserves
-    declared order (3.7+ dicts are ordered).  Error semantics match the
-    sequential loop the multi-source pages used to run: if any section
-    raises, the *first* failing section in declared order re-raises and
-    the route dispatcher maps it as before — section failures are not
-    isolated within a page, only across page/widget slots.
+    declared order (3.7+ dicts are ordered).  Every section runs, then
+    the *first* failing section in declared order re-raises and the
+    route dispatcher maps it — section failures are not isolated within
+    a page, only across page/widget slots.  Running the later sections
+    anyway keeps their cache fills during an outage.
     """
-    outcomes = ctx.scatter([thunk for _, thunk in sections])
+    outcomes = ctx.workers.scatter_gather([thunk for _, thunk in sections])
     data: Dict[str, Any] = {}
     for (name, _), outcome in zip(sections, outcomes):
         if outcome.error is not None:

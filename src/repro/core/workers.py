@@ -1,41 +1,36 @@
-"""Shared bounded worker pool for background refresh and request fan-out.
-
-Two hot paths need threads that are not HTTP handler threads:
+"""Bounded background worker pool, and the slot runner pages build on.
 
 * **refresh-ahead** — :class:`~repro.core.caching.TTLCache` revalidates
   soft-expired hot keys *behind* the response, so a warm key never
-  blocks a user request on a daemon RPC;
-* **scatter-gather fan-out** — :func:`~repro.core.pages.homepage.render_homepage`
-  (and the multi-section pages) issue their independent widget/section
-  calls concurrently, collapsing page latency from the *sum* of the
-  parts to roughly the *max*.
+  blocks a user request on a daemon RPC.  :meth:`WorkerPool.try_submit`
+  hands each revalidation to a pool thread.
+* **page slots** — :func:`~repro.core.pages.homepage.render_homepage`
+  and the multi-section pages build their independent parts through
+  :meth:`WorkerPool.scatter_gather` / :meth:`WorkerPool.scatter_stream`,
+  which run every slot on the calling (request) thread, in order, with
+  each slot's failure isolated from its siblings.  The request's fetch
+  scopes, deadline and open span are therefore already in place for
+  every slot.
 
-Both share one :class:`WorkerPool` per dashboard so background work and
-foreground fan-out compete for the same bounded capacity — the pool can
-never out-grow its configured thread count, and everything it does is
-visible on ``/metrics`` (``repro_worker_pool_active``,
-``repro_worker_pool_queue_depth``, ``repro_worker_pool_tasks_total``).
+The pool's work is visible on ``/metrics``
+(``repro_worker_pool_active``, ``repro_worker_pool_queue_depth``,
+``repro_worker_pool_tasks_total``).
 
 Design notes
 ------------
 * Threads spawn lazily, one per submission that finds no idle worker,
-  up to ``max_workers`` — a dashboard that never fans out never owns a
-  thread.
-* The queue is bounded.  :meth:`try_submit` (the refresh-ahead entry
-  point) simply refuses when full — a dropped revalidation is harmless,
-  the entry is still served until its hard TTL.  :meth:`scatter_gather`
-  (the fan-out entry point) must run *every* task, so rejected tasks run
-  inline on the calling thread instead.
-* :meth:`scatter_gather` called **from a pool worker** runs everything
-  inline: nested fan-out can therefore never deadlock the pool, however
-  deep pages recurse.
+  up to ``max_workers`` — a dashboard that never arms a refresh never
+  owns a thread.
+* The queue is bounded.  :meth:`WorkerPool.try_submit` simply refuses
+  when full — a dropped revalidation is harmless, the entry is still
+  served until its hard TTL.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Set
+from typing import Any, Callable, Iterator, List, Optional, Sequence
 
 from repro.obs import MetricsRegistry
 
@@ -44,7 +39,6 @@ from repro.obs import MetricsRegistry
 TASK_RESULTS = (
     "ok",  # ran on a pool worker, returned
     "error",  # ran on a pool worker, raised
-    "inline",  # queue full: a scatter_gather task ran on the caller
     "rejected",  # queue full: a try_submit task was dropped
 )
 
@@ -52,7 +46,7 @@ TASK_RESULTS = (
 class TaskOutcome:
     """Per-slot result of :meth:`WorkerPool.scatter_gather`.
 
-    Exactly one of :attr:`value` / :attr:`error` is meaningful: a task
+    Exactly one of :attr:`value` / :attr:`error` is meaningful: a slot
     that raised has ``error`` set and ``value`` ``None``.
     """
 
@@ -72,26 +66,24 @@ class TaskOutcome:
         return f"TaskOutcome(value={self.value!r})"
 
 
-class _Task:
-    """One queued unit of work and its completion state."""
-
-    __slots__ = ("fn", "event", "value", "error")
-
-    def __init__(self, fn: Callable[[], Any]):
-        self.fn = fn
-        self.event = threading.Event()
-        self.value: Any = None
-        self.error: Optional[BaseException] = None
+def _run_slot(fn: Callable[[], Any]) -> TaskOutcome:
+    try:
+        return TaskOutcome(value=fn())
+    except Exception as exc:  # noqa: BLE001 - per-slot isolation
+        return TaskOutcome(error=exc)
 
 
-_SHUTDOWN = _Task(lambda: None)
+#: queued once per worker by :meth:`WorkerPool.shutdown` (compared by
+#: identity, never run)
+_SHUTDOWN: Callable[[], Any] = lambda: None  # noqa: E731
 
 
 class WorkerPool:
     """A bounded, lazily-spawned thread pool with queue-depth gauges.
 
-    Thread-safe; one instance is shared by the TTL cache's refresh-ahead
-    path and every page's scatter-gather fan-out.
+    Thread-safe; the TTL cache's refresh-ahead path submits to it.  Its
+    :meth:`scatter_gather` / :meth:`scatter_stream` run a page's slots
+    on the calling thread and never touch the pool's threads.
     """
 
     def __init__(
@@ -110,14 +102,15 @@ class WorkerPool:
         self.max_queue = max_queue
         self.name = name
         self._thread_name_prefix = thread_name_prefix
-        self._queue: "queue.Queue[_Task]" = queue.Queue(maxsize=max_queue)
+        self._queue: "queue.Queue[Callable[[], Any]]" = queue.Queue(
+            maxsize=max_queue
+        )
         self._lock = threading.Lock()
         self._spawned = 0
         self._idle = 0
         self._queued = 0
         self._active = 0
         self._closed = False
-        self._worker_idents: Set[int] = set()
         self.metrics = registry or MetricsRegistry()
         self._active_gauge = self.metrics.gauge(
             "repro_worker_pool_active",
@@ -150,11 +143,6 @@ class WorkerPool:
         with self._lock:
             return self._spawned
 
-    def in_worker(self) -> bool:
-        """True when the calling thread is one of this pool's workers."""
-        with self._lock:
-            return threading.get_ident() in self._worker_idents
-
     # -- submission ----------------------------------------------------------
 
     def _spawn_locked(self) -> None:
@@ -167,16 +155,15 @@ class WorkerPool:
         )
         thread.start()
 
-    def _submit(self, fn: Callable[[], Any]) -> Optional[_Task]:
-        """Enqueue ``fn``; None when the queue is full or the pool closed."""
-        task = _Task(fn)
+    def _submit(self, fn: Callable[[], Any]) -> bool:
+        """Enqueue ``fn``; False when the queue is full or the pool closed."""
         with self._lock:
             if self._closed:
-                return None
+                return False
             try:
-                self._queue.put_nowait(task)
+                self._queue.put_nowait(fn)
             except queue.Full:
-                return None
+                return False
             self._queued += 1
             self._sync_gauges_locked()
             # spawn while accepted work outnumbers idle workers — counting
@@ -184,7 +171,7 @@ class WorkerPool:
             # from stranding tasks behind one not-yet-started thread
             if self._queued > self._idle and self._spawned < self.max_workers:
                 self._spawn_locked()
-        return task
+        return True
 
     def try_submit(self, fn: Callable[[], Any]) -> bool:
         """Fire-and-forget submission (the refresh-ahead entry point).
@@ -193,86 +180,36 @@ class WorkerPool:
         is full; the caller is expected to treat that as "not now", not
         as an error.
         """
-        task = self._submit(fn)
-        if task is None:
+        if not self._submit(fn):
             self._tasks.inc(pool=self.name, result="rejected")
             return False
         return True
 
+    # -- page slots ----------------------------------------------------------
+
     def scatter_gather(
         self, fns: Sequence[Callable[[], Any]]
     ) -> List[TaskOutcome]:
-        """Run every ``fns[i]`` concurrently; outcomes in input order.
+        """Run every ``fns[i]`` on the calling thread; outcomes in input
+        order.
 
-        Each slot isolates its own failure: a raising task yields a
-        :class:`TaskOutcome` with ``error`` set and never disturbs its
-        siblings.  Tasks the bounded queue refuses run inline on the
-        calling thread (the caller participates instead of failing), and
-        a call *from* a pool worker runs everything inline so nested
-        fan-out cannot deadlock the pool.
+        Each slot isolates its own failure: a raising slot yields a
+        :class:`TaskOutcome` with ``error`` set and never stops its
+        siblings from running.
         """
-        fns = list(fns)
-        if not fns:
-            return []
-        if self.in_worker():
-            return [self._run_inline(fn) for fn in fns]
-        tasks: List[Optional[_Task]] = [self._submit(fn) for fn in fns]
-        outcomes: List[Optional[TaskOutcome]] = [None] * len(fns)
-        # run the rejected tasks on this thread while workers chew the rest
-        for i, task in enumerate(tasks):
-            if task is None:
-                outcomes[i] = self._run_inline(fns[i])
-        for i, task in enumerate(tasks):
-            if task is not None:
-                task.event.wait()
-                outcomes[i] = TaskOutcome(task.value, task.error)
-        return outcomes  # type: ignore[return-value]
+        return [_run_slot(fn) for fn in fns]
 
     def scatter_stream(
         self, fns: Sequence[Callable[[], Any]]
     ) -> "Iterator[TaskOutcome]":
-        """:meth:`scatter_gather`, but yield each outcome in input order
-        as soon as it is ready — no barrier on the slowest task.
-
-        Every task is submitted *eagerly* (before the generator is first
-        advanced), so all slots run concurrently while the consumer
-        drains them one by one; slot ``i`` is yielded once it and every
-        predecessor have completed.  Rejected tasks run inline at their
-        turn, and a call from a pool worker runs everything inline —
-        the same no-deadlock guarantees as :meth:`scatter_gather`.
-        """
-        fns = list(fns)
-        if self.in_worker():
-            def run_inline() -> "Iterator[TaskOutcome]":
-                for fn in fns:
-                    yield self._run_inline(fn)
-
-            return run_inline()
-        tasks: List[Optional[_Task]] = [self._submit(fn) for fn in fns]
-
-        def drain() -> "Iterator[TaskOutcome]":
-            for fn, task in zip(fns, tasks):
-                if task is None:
-                    yield self._run_inline(fn)
-                else:
-                    task.event.wait()
-                    yield TaskOutcome(task.value, task.error)
-
-        return drain()
-
-    def _run_inline(self, fn: Callable[[], Any]) -> TaskOutcome:
-        self._tasks.inc(pool=self.name, result="inline")
-        try:
-            return TaskOutcome(value=fn())
-        except BaseException as exc:  # noqa: BLE001 - per-slot isolation
-            return TaskOutcome(error=exc)
+        """:meth:`scatter_gather`, lazily: slot ``i`` runs when the
+        consumer asks for outcome ``i``, so the caller can flush output
+        before the first slot and between slots."""
+        return (_run_slot(fn) for fn in fns)
 
     # -- workers -------------------------------------------------------------
 
     def _worker(self) -> None:
-        ident = threading.get_ident()
-        with self._lock:
-            self._worker_idents.add(ident)
         try:
             while True:
                 task = self._queue.get()
@@ -284,28 +221,24 @@ class WorkerPool:
                     self._active += 1
                     self._sync_gauges_locked()
                 try:
-                    task.value = task.fn()
+                    task()
                     self._tasks.inc(pool=self.name, result="ok")
-                except BaseException as exc:  # noqa: BLE001 - isolated per task
-                    task.error = exc
+                except BaseException:  # noqa: BLE001 - isolated per task
                     self._tasks.inc(pool=self.name, result="error")
                 finally:
-                    task.event.set()
                     with self._lock:
                         self._active -= 1
                         self._idle += 1
                         self._sync_gauges_locked()
         finally:
             with self._lock:
-                self._worker_idents.discard(ident)
                 self._spawned -= 1
                 self._idle -= 1
 
     def shutdown(self) -> None:
         """Stop accepting work and retire every worker (best effort).
 
-        Queued tasks already accepted still run; callers blocked in
-        :meth:`scatter_gather` are not interrupted.
+        Queued tasks already accepted still run.
         """
         with self._lock:
             if self._closed:

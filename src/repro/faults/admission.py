@@ -57,10 +57,10 @@ class Deadline:
     charged via :meth:`charge` — simulated RPC latency and backoff
     delays, which consume the request's budget in the model even though
     no thread wall-sleeps them.  One instance belongs to one request
-    (created in :meth:`~repro.core.routes.RouteRegistry.call`); during a
-    scatter-gather fan-out the same instance is shared by every worker
-    thread serving that request, so charges are applied under a lock —
-    the parallel widgets genuinely spend one common budget.
+    (created in :meth:`~repro.core.routes.RouteRegistry.call`) and every
+    section of that request spends it, on the request's own thread;
+    charges still apply under a lock, so a deadline handed to another
+    thread stays exact.
     """
 
     __slots__ = ("budget_s", "_started", "_charged", "_now", "_charge_lock")

@@ -136,29 +136,6 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    @contextmanager
-    def attach(self, parent: Optional[Span]) -> Iterator[None]:
-        """Adopt ``parent`` as this thread's innermost open span.
-
-        Cross-thread propagation for scatter-gather fan-out: the
-        request thread captures :meth:`current` and each worker runs its
-        share inside ``attach(parent)``, so widget route spans land as
-        children of the request's page span instead of becoming
-        disconnected roots.  Appending to ``parent.children`` from
-        worker threads is safe (list.append is atomic) and the worker
-        never publishes — its stack is non-empty while attached, and the
-        parent publishes on its own thread after the fan-out joins.
-        """
-        if not self.enabled or parent is None:
-            yield
-            return
-        stack = self._stack()
-        stack.append(parent)
-        try:
-            yield
-        finally:
-            stack.pop()
-
     def _publish(self, root: Span) -> None:
         with self._lock:
             self._traces.append(root)
@@ -210,10 +187,6 @@ class _NullTracer:
 
     def current(self) -> Optional[Span]:
         return None
-
-    @contextmanager
-    def attach(self, parent: Optional[Span]) -> Iterator[None]:
-        yield
 
     def recent(self, limit: Optional[int] = None) -> List[Span]:
         return []

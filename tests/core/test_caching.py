@@ -446,17 +446,6 @@ class TestCoalescing:
             leader.join(10)
         assert results == ["slow"]
 
-    def test_coalescing_can_be_disabled(self, clock):
-        cache = TTLCache(clock, default_ttl=60, coalesce=False)
-        leader, release, _ = self._gated_leader(cache, "k")
-        try:
-            # no in-flight marker: a second fetch computes immediately
-            assert cache.fetch("k", lambda: "second") == "second"
-            assert cache.stats.coalesced_waiters == 0
-        finally:
-            release.set()
-            leader.join(10)
-
 
 class TestCachePolicy:
     def test_paper_defaults(self):

@@ -90,11 +90,11 @@ class TestExportRoute:
             "account_usage_export", alice_v,
             {"account": "physics-lab", "format": "pdf"},
         )
-        assert not resp.ok
+        assert not resp.ok and resp.status == 400
 
     def test_missing_account_isolated(self, dash, alice_v):
         resp = dash.call("account_usage_export", alice_v, {})
-        assert not resp.ok
+        assert not resp.ok and resp.status == 400
 
 
 class TestDashboardFacade:

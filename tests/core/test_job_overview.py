@@ -168,7 +168,12 @@ class TestPrivacyAndErrors:
 
     def test_missing_job_id_isolated(self, dash, alice_v):
         resp = dash.call("job_overview", alice_v, {})
-        assert not resp.ok
+        assert not resp.ok and resp.status == 400
+
+    @pytest.mark.parametrize("job_id", ["abc", 1.5, True, 0])
+    def test_malformed_job_id_is_a_400(self, dash, alice_v, job_id):
+        resp = dash.call("job_overview", alice_v, {"job_id": job_id})
+        assert resp.status == 400, resp.error
 
 
 class TestRender:

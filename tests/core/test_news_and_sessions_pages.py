@@ -21,7 +21,7 @@ class TestNewsPage:
 
     def test_unknown_category_isolated(self, dash, alice_v):
         resp = dash.call("news_page", alice_v, {"category": "gossip"})
-        assert not resp.ok and resp.status == 500
+        assert not resp.ok and resp.status == 400
 
     def test_styling_carried_through(self, dash, alice_v):
         data = dash.call("news_page", alice_v).data
@@ -128,4 +128,12 @@ class TestTimezoneSupport:
             "job_overview", alice_v,
             {"job_id": jobs["low_eff"].job_id, "tz_offset_minutes": 10_000},
         )
-        assert not resp.ok
+        assert not resp.ok and resp.status == 400
+
+    @pytest.mark.parametrize("offset", ["abc", 1.5])
+    def test_malformed_offset_is_a_400(self, dash, alice_v, jobs, offset):
+        resp = dash.call(
+            "job_overview", alice_v,
+            {"job_id": jobs["low_eff"].job_id, "tz_offset_minutes": offset},
+        )
+        assert resp.status == 400, resp.error

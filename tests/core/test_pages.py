@@ -94,7 +94,7 @@ class TestMyJobs:
 
     def test_bad_state_filter_isolated(self, dash, alice_v):
         resp = dash.call("my_jobs", alice_v, {"state": "EXPLODED"})
-        assert not resp.ok and resp.status == 500
+        assert not resp.ok and resp.status == 400
 
     def test_search_filter(self, dash, alice_v):
         data = page(dash, "my_jobs", alice_v, {"search": "crashy"})
@@ -164,11 +164,16 @@ class TestJobPerformance:
             alice_v,
             {"start": clock.isoformat(100), "end": clock.isoformat(50)},
         )
-        assert not resp.ok
+        assert not resp.ok and resp.status == 400
+
+    @pytest.mark.parametrize("params", [{"start": "yesterday"}, {"end": 5}])
+    def test_malformed_custom_range_is_a_400(self, dash, alice_v, params):
+        resp = dash.call("job_performance", alice_v, params)
+        assert resp.status == 400, resp.error
 
     def test_unknown_range_isolated(self, dash, alice_v):
         resp = dash.call("job_performance", alice_v, {"range": "1y"})
-        assert not resp.ok
+        assert not resp.ok and resp.status == 400
 
     def test_render(self, dash, alice_v):
         data = page(dash, "job_performance", alice_v)
@@ -219,7 +224,7 @@ class TestClusterStatus:
 
     def test_bad_sort_isolated(self, dash, alice_v):
         resp = dash.call("cluster_status", alice_v, {"sort": "favourite_color"})
-        assert not resp.ok
+        assert not resp.ok and resp.status == 400
 
     def test_node_links(self, dash, alice_v):
         data = page(dash, "cluster_status", alice_v)
@@ -285,7 +290,7 @@ class TestNodeOverview:
 
     def test_missing_node_param(self, dash, alice_v):
         resp = dash.call("node_overview", alice_v, {})
-        assert not resp.ok and resp.status == 500
+        assert not resp.ok and resp.status == 400
 
     def test_unknown_node_404(self, dash, alice_v):
         resp = dash.call("node_overview", alice_v, {"node": "zzz"})

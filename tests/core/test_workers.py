@@ -37,21 +37,22 @@ class TestScatterGather:
         finally:
             pool.shutdown()
 
-    def test_tasks_genuinely_overlap(self, registry):
-        """N tasks that each wait on a shared barrier can only finish if
-        they run concurrently."""
-        pool = make_pool(registry, max_workers=4)
-        barrier = threading.Barrier(4, timeout=5.0)
+    def test_slots_run_on_the_calling_thread(self, registry):
+        pool = make_pool(registry)
+        caller = threading.get_ident()
+        outcomes = pool.scatter_gather([threading.get_ident] * 3)
+        assert [o.value for o in outcomes] == [caller] * 3
+        assert pool.workers_alive == 0
 
-        def task():
-            barrier.wait()
-            return "done"
-
-        try:
-            outcomes = pool.scatter_gather([task] * 4)
-            assert [o.value for o in outcomes] == ["done"] * 4
-        finally:
-            pool.shutdown()
+    def test_stream_runs_each_slot_when_asked(self, registry):
+        pool = make_pool(registry)
+        ran = []
+        stream = pool.scatter_stream(
+            [lambda i=i: ran.append(i) or i for i in range(3)]
+        )
+        assert ran == []  # nothing runs before the consumer asks
+        assert next(stream).value == 0 and ran == [0]
+        assert [o.value for o in stream] == [1, 2]
 
     def test_failure_isolated_per_slot(self, registry):
         pool = make_pool(registry)
@@ -65,56 +66,6 @@ class TestScatterGather:
             assert isinstance(outcomes[1].error, RuntimeError)
             assert not outcomes[1].ok
             assert outcomes[2].value == "c" and outcomes[2].ok
-        finally:
-            pool.shutdown()
-
-    def test_overflow_runs_inline_not_dropped(self, registry):
-        """More tasks than workers + queue: the extras run on the caller
-        and every slot still completes."""
-        pool = make_pool(registry, max_workers=1, max_queue=1)
-        gate = threading.Event()
-        started = threading.Event()
-
-        def slow():
-            started.set()
-            gate.wait(timeout=5.0)
-            return "slow"
-
-        # occupy the single worker, then saturate the queue
-        results = {}
-
-        def run():
-            results["outcomes"] = pool.scatter_gather(
-                [slow] + [lambda i=i: i for i in range(6)]
-            )
-
-        t = threading.Thread(target=run)
-        t.start()
-        assert started.wait(timeout=5.0)
-        gate.set()
-        t.join(timeout=5.0)
-        assert not t.is_alive()
-        outcomes = results["outcomes"]
-        assert outcomes[0].value == "slow"
-        assert [o.value for o in outcomes[1:]] == list(range(6))
-        inline = registry.total(
-            "repro_worker_pool_tasks_total", result="inline"
-        )
-        assert inline >= 1
-        pool.shutdown()
-
-    def test_reentrant_call_from_worker_runs_inline(self, registry):
-        """scatter_gather from inside a pool worker must not deadlock,
-        even when every worker is busy."""
-        pool = make_pool(registry, max_workers=1, max_queue=4)
-
-        def outer():
-            inner = pool.scatter_gather([lambda: 1, lambda: 2])
-            return [o.value for o in inner]
-
-        try:
-            outcomes = pool.scatter_gather([outer])
-            assert outcomes[0].value == [1, 2]
         finally:
             pool.shutdown()
 
@@ -156,17 +107,29 @@ class TestPoolBehaviour:
     def test_lazy_spawn(self, registry):
         pool = make_pool(registry, max_workers=4)
         assert pool.workers_alive == 0  # no work yet, no threads
+        done = threading.Event()
         try:
-            pool.scatter_gather([lambda: 1])
+            assert pool.try_submit(done.set)
+            assert done.wait(timeout=5.0)
             assert 1 <= pool.workers_alive <= 4
         finally:
             pool.shutdown()
 
     def test_never_exceeds_max_workers(self, registry):
         pool = make_pool(registry, max_workers=2, max_queue=32)
+        ran = []
+        all_ran = threading.Event()
+
+        def task(i):
+            ran.append(i)
+            if len(ran) == 20:
+                all_ran.set()
+
         try:
-            outcomes = pool.scatter_gather([lambda i=i: i for i in range(20)])
-            assert [o.value for o in outcomes] == list(range(20))
+            for i in range(20):
+                assert pool.try_submit(lambda i=i: task(i))
+            assert all_ran.wait(timeout=5.0)
+            assert sorted(ran) == list(range(20))
             assert pool.workers_alive <= 2
         finally:
             pool.shutdown()
@@ -176,7 +139,7 @@ class TestPoolBehaviour:
         active = registry.get("repro_worker_pool_active")
         depth = registry.get("repro_worker_pool_queue_depth")
         try:
-            pool.scatter_gather([lambda: 1, lambda: 2])
+            assert pool.try_submit(lambda: 1) and pool.try_submit(lambda: 2)
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
                 if (

@@ -1,20 +1,14 @@
-"""Concurrency hammer tests for the shared worker pool.
+"""Concurrency hammer tests for the worker pool.
 
-These pin the two guarantees the fan-out layer depends on under real
-thread pressure (not just single-threaded unit flows):
-
-* ``try_submit`` never blocks and never loses track of a task — every
-  submission is either accepted (and eventually runs) or rejected (and
-  counted), even when dozens of threads race a full queue;
-* ``scatter_gather`` always completes — queue-full degrades to inline
-  execution on the caller, and nested fan-out from inside a worker runs
-  inline rather than deadlocking the pool, even at ``max_workers=1``.
+These pin the guarantee refresh-ahead depends on under real thread
+pressure (not just single-threaded unit flows): ``try_submit`` never
+blocks and never loses track of a task — every submission is either
+accepted (and eventually runs) or rejected (and counted), even when
+dozens of threads race a full queue.
 """
 
 import threading
 import time
-
-import pytest
 
 from repro.core.workers import WorkerPool
 
@@ -91,124 +85,4 @@ class TestTrySubmitStorm:
         assert rejected == 16.0
         release.set()
         _drain(pool)
-        pool.shutdown()
-
-
-class TestScatterGatherHammer:
-    def test_concurrent_fanouts_all_complete(self):
-        """Many threads fanning out at once all get full result sets."""
-        pool = WorkerPool(max_workers=4, max_queue=4, name="fan")
-        results = {}
-        results_lock = threading.Lock()
-
-        def fan(idx):
-            outcomes = pool.scatter_gather(
-                [lambda i=i: (idx, i) for i in range(10)]
-            )
-            with results_lock:
-                results[idx] = outcomes
-
-        threads = [
-            threading.Thread(target=fan, args=(i,)) for i in range(12)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert not any(t.is_alive() for t in threads), "fan-out deadlocked"
-
-        assert set(results) == set(range(12))
-        for idx, outcomes in results.items():
-            assert [o.value for o in outcomes] == [
-                (idx, i) for i in range(10)
-            ]
-            assert all(o.ok for o in outcomes)
-        # the tiny queue forced some inline fallbacks — they are counted,
-        # not silently absorbed
-        inline = pool.metrics.total(
-            "repro_worker_pool_tasks_total", pool="fan", result="inline"
-        )
-        assert inline > 0
-        pool.shutdown()
-
-    @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_nested_fanout_cannot_deadlock(self, max_workers):
-        """A task that itself fans out runs its children inline: with
-        every worker busy being a parent, waiting on pooled children
-        would deadlock forever."""
-        pool = WorkerPool(max_workers=max_workers, max_queue=64, name="nest")
-
-        def child(n):
-            return n * n
-
-        def parent(base):
-            outcomes = pool.scatter_gather(
-                [lambda i=i: child(base + i) for i in range(4)]
-            )
-            return [o.value for o in outcomes]
-
-        done = []
-
-        def run():
-            outcomes = pool.scatter_gather(
-                [lambda b=b: parent(b) for b in range(max_workers + 2)]
-            )
-            done.append(outcomes)
-
-        t = threading.Thread(target=run)
-        t.start()
-        t.join(timeout=20)
-        assert not t.is_alive(), "nested scatter_gather deadlocked"
-        (outcomes,) = done
-        assert all(o.ok for o in outcomes)
-        for b, o in enumerate(outcomes):
-            assert o.value == [(b + i) ** 2 for i in range(4)]
-        pool.shutdown()
-
-    def test_queue_full_fanout_falls_back_inline(self):
-        """With the lone worker blocked and the queue full, a fan-out
-        still completes on the caller's own thread."""
-        pool = WorkerPool(max_workers=1, max_queue=1, name="inline")
-        release = threading.Event()
-        started = threading.Event()
-
-        def blocker():
-            started.set()
-            release.wait(10)
-
-        assert pool.try_submit(blocker)
-        assert started.wait(5)
-        pool.try_submit(lambda: None)  # occupy the single queue slot
-
-        before = pool.metrics.total(
-            "repro_worker_pool_tasks_total", pool="inline", result="inline"
-        )
-        outcomes = pool.scatter_gather([lambda i=i: i for i in range(6)])
-        after = pool.metrics.total(
-            "repro_worker_pool_tasks_total", pool="inline", result="inline"
-        )
-        assert [o.value for o in outcomes] == list(range(6))
-        assert after - before == 6  # every slot was refused -> all inline
-        release.set()
-        _drain(pool)
-        pool.shutdown()
-
-    def test_failures_stay_isolated_under_pressure(self):
-        """Raising tasks coexist with succeeding ones across a storm."""
-        pool = WorkerPool(max_workers=3, max_queue=4, name="mixed")
-
-        def boom():
-            raise RuntimeError("kaput")
-
-        for _ in range(5):
-            fns = []
-            for i in range(12):
-                fns.append(boom if i % 3 == 0 else (lambda i=i: i))
-            outcomes = pool.scatter_gather(fns)
-            for i, o in enumerate(outcomes):
-                if i % 3 == 0:
-                    assert not o.ok
-                    assert isinstance(o.error, RuntimeError)
-                else:
-                    assert o.ok and o.value == i
         pool.shutdown()

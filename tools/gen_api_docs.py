@@ -251,12 +251,12 @@ overload benchmark (set `ADMISSION_SMOKE=1` for the CI-sized run).
 """
 
 
-FANOUT_SECTION = """\
-## Refresh-ahead & parallel fan-out
+REFRESH_AHEAD_SECTION = """\
+## Refresh-ahead
 
-The caching layer (`repro.core.caching`) and a shared bounded worker
-pool (`repro.core.workers.WorkerPool`) together take backend RPCs off
-the request path entirely:
+The caching layer (`repro.core.caching`) and a bounded worker pool
+(`repro.core.workers.WorkerPool`) together take backend RPCs off the
+request path entirely:
 
 1. **Refresh-ahead (stale-while-revalidate)** — every cached source has
    a *soft* TTL at `CachePolicy.soft_ttl_fraction` (default 0.8) of its
@@ -277,19 +277,6 @@ the request path entirely:
    enqueuing (counted `paused`), so background work never deepens a
    brownout. A full pool queue likewise just drops the revalidation
    (counted `rejected`) — the entry is still valid until its hard TTL.
-3. **Scatter-gather fan-out** — `DashboardContext.scatter(thunks)` runs
-   independent page sections concurrently on the same pool, propagating
-   the caller's request deadline, fetch scopes, and trace span into the
-   workers. The homepage fans out its five widget routes
-   (`render_homepage(..., parallel=False)` keeps the sequential
-   baseline), and the job/node overview pages scatter their section
-   builders — page latency collapses from Σ(sections) to ≈max(section)
-   with byte-identical output, deterministic slot order, and unchanged
-   per-widget failure isolation. The pool spawns threads lazily up to
-   `worker_pool_size` (default 8, queue bound `worker_queue_max`,
-   default 64); tasks the bounded queue refuses run inline on the
-   caller, and nested fan-out from a worker runs inline too, so the
-   pool can never deadlock itself.
 
 The metric families:
 
@@ -299,12 +286,12 @@ The metric families:
 | `repro_cache_served_while_refreshing_total` | `source` | soft-window hits served while a refresh was in flight |
 | `repro_worker_pool_active` | `pool` | tasks currently executing (gauge) |
 | `repro_worker_pool_queue_depth` | `pool` | tasks waiting for a thread (gauge) |
-| `repro_worker_pool_tasks_total` | `pool`, `result` (`ok` / `error` / `inline` / `rejected`) | every task disposition |
+| `repro_worker_pool_tasks_total` | `pool`, `result` (`ok` / `error` / `rejected`) | every task disposition |
 
 `tools/obs_report.py` renders both families as operator sections;
-`benchmarks/test_perf_fanout.py` proves the three claims — zero
-on-request RPCs on a hot key, fan-out ≈ max not sum, and refresh-ahead
-halting under brownout (set `FANOUT_SMOKE=1` for the CI-sized run).
+`benchmarks/test_perf_refresh_ahead.py` proves the two claims — zero
+on-request RPCs on a hot key, and refresh-ahead halting under brownout
+(set `REFRESH_AHEAD_SMOKE=1` for the CI-sized run).
 """
 
 
@@ -339,11 +326,11 @@ client could start parsing:
    `Dashboard.stream_homepage`: the page shell is rendered once around
    sentinel slot tokens, the shell head flushes immediately as the
    first `Transfer-Encoding: chunked` chunk, and the five widget
-   routes stream into their slots in deterministic order as the
-   worker-pool fan-out completes them (optionally gzip-compressed
+   routes then run one at a time on the request thread, each slot
+   flushed as soon as it is rendered (optionally gzip-compressed
    mid-stream with per-chunk flushes). The assembled stream is
-   byte-identical to the sequential batch render, and per-widget
-   failure isolation is unchanged.
+   byte-identical to the batch render, and per-widget failure
+   isolation is unchanged.
 4. **Client revalidation** — `BrowserClient` stores each response's
    `ETag` in its simulated IndexedDB record; a stale-while-revalidate
    refresh sends `If-None-Match` and a `304` just re-stamps the stored
@@ -358,10 +345,9 @@ The metric families:
 
 `tests/integration/test_same_bytes.py` replays one request list over
 every route through each delivery arm (identity, gzip decoded,
-in-process dispatch with the sequential and the parallel homepage
-render, HEAD against GET, and a client that revalidates with
-`If-None-Match`) and asserts the same status and decoded body for every
-request; the revalidating arm is a strict `xfail` for the lagging
+in-process dispatch, HEAD against GET, and a client that revalidates
+with `If-None-Match`) and asserts the same status and decoded body for
+every request; the revalidating arm is a strict `xfail` for the lagging
 `304` above. `tools/metrics_smoke.py` drives one live `304` over the
 wire and fails if the delivery families are missing from `/metrics`.
 """
@@ -383,7 +369,7 @@ def render() -> str:
         DEGRADED_MODE_SECTION,
         OBSERVABILITY_SECTION,
         ADMISSION_SECTION,
-        FANOUT_SECTION,
+        REFRESH_AHEAD_SECTION,
         DELIVERY_SECTION,
     ]
     seen = set()

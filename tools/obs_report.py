@@ -187,7 +187,6 @@ def pool_table(by_name) -> List[dict]:
             "queued": _sum_where(depth, pool=pool),
             "ok": _sum_where(tasks, pool=pool, result="ok"),
             "error": _sum_where(tasks, pool=pool, result="error"),
-            "inline": _sum_where(tasks, pool=pool, result="inline"),
             "rejected": _sum_where(tasks, pool=pool, result="rejected"),
         }
         for pool in pools
@@ -345,8 +344,7 @@ def render_report(payload: str, top: int = 10) -> str:
             lines.append(
                 f"{row['pool']:<16} active={row['active']:.0f} "
                 f"queued={row['queued']:.0f} ok={row['ok']:.0f} "
-                f"error={row['error']:.0f} inline={row['inline']:.0f} "
-                f"rejected={row['rejected']:.0f}"
+                f"error={row['error']:.0f} rejected={row['rejected']:.0f}"
             )
 
     lines.append("")
