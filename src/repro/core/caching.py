@@ -527,8 +527,8 @@ class TTLCache:
         same ``_inflight`` map the miss path uses, so at most one compute
         per key ever runs).  The gate is consulted at *arm* time only: a
         refresh already running when the dashboard browns out is allowed
-        to finish — it holds a bulkhead slot and a short deadline, so it
-        is bounded anyway.
+        to finish — it holds a worker-pool thread and a short deadline,
+        so it is bounded anyway.
         """
         if self.refresh_runner is None:
             return False

@@ -18,7 +18,7 @@ from repro.auth import Viewer
 from repro.slurm.model import NodeState
 
 from ..colors import node_state_color
-from ..params import ParamError
+from ..params import ParamError, flag_param
 from ..records import NodeRecord
 from ..rendering import data_table, el, node_grid_cell
 from ..routes import ApiRoute, DashboardContext
@@ -38,7 +38,7 @@ def cluster_status_data(
     """Route handler: per-node cells/rows for both view modes."""
     search = str(params.get("search", "")).lower()
     sort_by = str(params.get("sort", "name"))
-    descending = bool(params.get("desc", False))
+    descending = flag_param(params, "desc")
     if sort_by not in SORTABLE_COLUMNS:
         raise ParamError(
             f"cannot sort by {sort_by!r}; expected one of {sorted(SORTABLE_COLUMNS)}"

@@ -26,7 +26,7 @@ from repro.slurm.model import JobState, format_memory
 from ..charts import gpu_hour_distribution, job_state_distribution
 from ..colors import job_state_color, job_state_label
 from ..efficiency import compute_efficiency, efficiency_warnings
-from ..params import ParamError
+from ..params import ParamError, flag_param, number_param
 from ..records import JobRecord
 from ..rendering import badge, data_table, el, tooltip_span
 from ..routes import ApiRoute, DashboardContext
@@ -37,14 +37,14 @@ def my_jobs_data(
 ) -> Dict[str, Any]:
     """Route handler for the job table + charts."""
     now = ctx.now()
-    start = params.get("start")
-    end = params.get("end")
+    start = number_param(params, "start")
+    end = number_param(params, "end")
     state_filter: Optional[str] = params.get("state")
     search: str = str(params.get("search", "")).lower()
-    show_efficiency = bool(params.get("efficiency", False))
+    show_efficiency = flag_param(params, "efficiency")
     # experimental (§4.1: "currently underway"): GPU efficiency from the
     # telemetry collector rather than Slurm accounting
-    show_gpu_efficiency = bool(params.get("gpu_efficiency", False))
+    show_gpu_efficiency = flag_param(params, "gpu_efficiency")
 
     records = ctx.jobs_in_scope(viewer, start=start, end=end)
     if state_filter:

@@ -2,8 +2,10 @@
 the route handlers.
 
 The wire format only carries strings; :func:`coerce_params` types them
-conservatively (ints, finite floats, booleans, else strings) and
-:func:`positive_int_param` validates the common ``?limit=N`` shape.
+conservatively (ints, finite floats, booleans, else strings), and
+:func:`positive_int_param`, :func:`number_param` and :func:`flag_param`
+validate the ``?limit=N``, ``?start=<timestamp>`` and ``?desc=true``
+shapes.
 Validation failures raise :class:`ParamError`, which the route
 dispatcher and the HTTP server both render as a structured 400 — a bad
 query string must never surface as a 500.
@@ -97,5 +99,41 @@ def positive_int_param(
     if maximum is not None and value > maximum:
         raise ParamError(
             f"query param {name!r} must be <= {maximum}, got {value}"
+        )
+    return value
+
+
+def number_param(params: Dict[str, Any], name: str) -> Optional[float]:
+    """The value of a numeric query param, such as an epoch timestamp,
+    or None when absent.
+
+    An int or float passes through unchanged, so cache keys built from
+    it keep their spelling.  A boolean (``?start=true``) or a string
+    ``coerce_params`` could not read as a finite number is rejected with
+    a :class:`ParamError`, never compared against a float downstream.
+    """
+    value = params.get(name)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParamError(
+            f"query param {name!r} must be a number, got {value!r}"
+        )
+    return value
+
+
+def flag_param(params: Dict[str, Any], name: str) -> bool:
+    """The value of a boolean query flag, or False when absent.
+
+    Only ``true``/``false`` (which ``coerce_params`` types as booleans)
+    are flags; anything else — ``?desc=1``, ``?desc=maybe`` — raises
+    :class:`ParamError` instead of reading as True for being non-empty.
+    """
+    value = params.get(name)
+    if value is None:
+        return False
+    if not isinstance(value, bool):
+        raise ParamError(
+            f"query param {name!r} must be true or false, got {value!r}"
         )
     return value

@@ -29,7 +29,6 @@ from repro.faults import (
     AdmissionConfig,
     AdmissionController,
     BreakerConfig,
-    BulkheadSaturatedError,
     DaemonError,
     Deadline,
     DeadlineExceededError,
@@ -95,7 +94,7 @@ class RouteResponse:
     degraded: bool = False
     #: age (s) of the oldest stale entry that fed this response
     stale_age_s: Optional[float] = None
-    #: seconds after which the client should retry (429/503/504 only);
+    #: seconds after which the client should retry (503/504 only);
     #: the HTTP layer turns this into a real ``Retry-After`` header
     retry_after_s: Optional[float] = None
     #: validator derived from the cache-entry generations behind this
@@ -213,7 +212,8 @@ def _retry_after_of(exc: BaseException) -> Optional[float]:
 def _error_of(exc: Exception) -> Tuple[int, str, bool, Optional[float]]:
     """Map a handler failure to ``(status, error, degraded, retry_after_s)``.
 
-    Order matters: the admission errors subclass :class:`DaemonError`.
+    Order matters: :class:`DeadlineExceededError` subclasses
+    :class:`DaemonError`.
     """
     if isinstance(exc, PermissionDenied):
         return 403, str(exc), False, None
@@ -224,9 +224,6 @@ def _error_of(exc: Exception) -> Tuple[int, str, bool, Optional[float]]:
         # the request's time budget ran out mid-fetch: a structured
         # 504 with a retry hint, instead of burning more backoff
         return 504, str(exc), True, exc.retry_after_s
-    if isinstance(exc, BulkheadSaturatedError):
-        # the backend's concurrency bulkhead is full: 429 + Retry-After
-        return 429, str(exc), True, exc.retry_after_s
     if isinstance(exc, DaemonError):
         # backend down, retries exhausted, nothing stale to serve —
         # a structured 503, never a traceback (§2.4 resilience)
@@ -438,14 +435,13 @@ class DashboardContext:
             retry=retry,
             breaker=breaker,
             seed=resilience_seed,
-            admission=admission,
         )
         self.fetcher.tracer = self.obs.tracer
-        # the brownout feedback loop: watches the fetcher's breakers and
-        # bulkheads plus route p95, gates every route call, and stretches
-        # TTLs while the dashboard is under distress
+        # the brownout feedback loop: watches the fetcher's breakers plus
+        # route p95, gates every route call, and stretches TTLs while the
+        # dashboard is under distress
         self.admission = AdmissionController(
-            self.fetcher.admission,
+            admission or AdmissionConfig(),
             registry=self.obs.registry,
             fetcher=self.fetcher,
             clock=cluster.clock,

@@ -6,8 +6,7 @@ against the simulated backends; :class:`ResilientFetcher` gives the
 dashboard's fetch path timeouts, retries, circuit breakers, and
 serve-stale fallback so injected chaos degrades responses instead of
 crashing them.  :mod:`repro.faults.admission` layers overload control
-on top: per-request :class:`Deadline` budgets, per-service
-:class:`Bulkhead` concurrency limits, and the brownout
+on top: per-request :class:`Deadline` budgets and the brownout
 :class:`AdmissionController` that sheds load before a brownout becomes
 a blackout.
 """
@@ -17,13 +16,9 @@ from .admission import (
     AdmissionConfig,
     AdmissionController,
     AdmissionDecision,
-    Bulkhead,
-    BulkheadLimit,
     Deadline,
 )
 from .errors import (
-    AdmissionError,
-    BulkheadSaturatedError,
     CircuitOpenError,
     DaemonError,
     DaemonTimeoutError,
@@ -47,11 +42,7 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "AdmissionDecision",
-    "AdmissionError",
     "BreakerConfig",
-    "Bulkhead",
-    "BulkheadLimit",
-    "BulkheadSaturatedError",
     "CircuitBreaker",
     "CircuitOpenError",
     "DaemonError",

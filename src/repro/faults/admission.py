@@ -1,23 +1,23 @@
-"""Admission control: deadlines, bulkheads, and brownout load shedding.
+"""Admission control: deadlines and brownout load shedding.
 
 PRs 1–3 made individual fetches resilient (retry/breaker/serve-stale)
 and collapsed stampedes (single-flight), but nothing bounded *total
-time* per request or *concurrent work* per backend — a slow daemon
-still let requests pile up without limit while retries burned backoff
-budget long after the client had given up.  This module adds the three
-admission layers the overload-control playbook calls for:
+time* per request — retries burned backoff budget long after the client
+had given up, and a sick backend kept being queried at full rate.  This
+module adds two admission layers:
 
 1. :class:`Deadline` — a per-request time budget threaded from the HTTP
    layer down to the retry loop, so work stops the moment the remaining
    budget cannot cover another attempt (structured 504, not a hang);
-2. :class:`Bulkhead` — a per-daemon-service concurrency limit with a
-   bounded wait queue around the leader compute path, so one stuck
-   backend cannot exhaust every server thread (structured 429);
-3. :class:`AdmissionController` — a feedback loop over breaker states,
-   bulkhead queue depth, and route p95 latency that steps the dashboard
-   through ``normal → brownout → shed`` tiers: brownout stretches TTLs
-   and disables expensive pages, shed rejects everything non-essential
+2. :class:`AdmissionController` — a feedback loop over breaker states
+   and route p95 latency that steps the dashboard through
+   ``normal → brownout → shed`` tiers: brownout stretches TTLs and
+   disables expensive pages, shed rejects everything non-essential
    while ``/healthz``, ``/metrics`` and My Jobs stay alive.
+
+Concurrency against a daemon is not capped here: single-flight keeps
+one compute per cache key, and refresh-ahead runs on the bounded
+worker pool.
 
 Sim-clock note: daemon latency in this reproduction is *simulated* (the
 load model returns it; nothing wall-sleeps), so a deadline is an
@@ -29,13 +29,10 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.obs.metrics import Histogram, MetricsRegistry, quantile_from_buckets
-
-from .errors import BulkheadSaturatedError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import SimClock
@@ -47,7 +44,7 @@ TIERS: Tuple[str, ...] = ("normal", "brownout", "shed")
 
 #: every value the ``reason`` label of ``repro_admission_rejected_total``
 #: can take (pre-seeded to zero so the family always renders)
-REJECT_REASONS: Tuple[str, ...] = ("deadline", "bulkhead", "brownout", "shed")
+REJECT_REASONS: Tuple[str, ...] = ("deadline", "brownout", "shed")
 
 
 class Deadline:
@@ -105,128 +102,16 @@ class Deadline:
 
 
 @dataclass(frozen=True)
-class BulkheadLimit:
-    """Concurrency limits for one service's bulkhead."""
-
-    max_concurrent: int = 8  # computes allowed in flight at once
-    max_queue: int = 16  # callers allowed to wait for a slot
-
-    def __post_init__(self) -> None:
-        if self.max_concurrent < 1:
-            raise ValueError(f"max_concurrent must be >= 1: {self.max_concurrent}")
-        if self.max_queue < 0:
-            raise ValueError(f"max_queue must be >= 0: {self.max_queue}")
-
-
-class Bulkhead:
-    """A per-service concurrency limit with a bounded wait queue.
-
-    At most ``limit.max_concurrent`` callers hold a slot at once; up to
-    ``limit.max_queue`` more wait (bounded wall-clock wait) for one to
-    free.  Anyone beyond that is rejected immediately with
-    :class:`BulkheadSaturatedError` — the fail-fast that keeps a stuck
-    backend from absorbing every handler thread.  Queue depth and active
-    slots are mirrored into gauges on every transition.
-    """
-
-    def __init__(self, service: str, limit: BulkheadLimit,
-                 registry: MetricsRegistry, retry_after_s: float = 1.0):
-        self.service = service
-        self.limit = limit
-        self.retry_after_s = retry_after_s
-        self._cond = threading.Condition()
-        self.active = 0
-        self.queued = 0
-        #: high-water mark of concurrently held slots (benchmark assert)
-        self.max_active = 0
-        #: lifetime count of rejected acquisitions
-        self.rejected = 0
-        self._queue_gauge = registry.gauge(
-            "repro_bulkhead_queue_depth",
-            "Callers waiting for a bulkhead slot, per service.",
-            ("service",),
-        )
-        self._active_gauge = registry.gauge(
-            "repro_bulkhead_active",
-            "Bulkhead slots currently held, per service.",
-            ("service",),
-        )
-        self._rejected_metric = registry.counter(
-            "repro_admission_rejected_total",
-            "Requests rejected by the admission layer, by reason.",
-            ("reason",),
-        )
-        self._sync_gauges()
-
-    def _sync_gauges(self) -> None:
-        self._queue_gauge.set(float(self.queued), service=self.service)
-        self._active_gauge.set(float(self.active), service=self.service)
-
-    def _reject(self, reason: str) -> BulkheadSaturatedError:
-        self.rejected += 1
-        self._rejected_metric.inc(reason="bulkhead")
-        return BulkheadSaturatedError(
-            self.service, retry_after_s=self.retry_after_s, reason=reason
-        )
-
-    @contextmanager
-    def slot(self, wait_timeout_s: float) -> Iterator[None]:
-        """Hold one concurrency slot for the duration of the block."""
-        self._acquire(wait_timeout_s)
-        try:
-            yield
-        finally:
-            self._release()
-
-    def _acquire(self, wait_timeout_s: float) -> None:
-        give_up_at = time.monotonic() + max(0.0, wait_timeout_s)
-        with self._cond:
-            # fast path — but never jump ahead of callers already queued
-            if self.active < self.limit.max_concurrent and self.queued == 0:
-                self.active += 1
-                self.max_active = max(self.max_active, self.active)
-                self._sync_gauges()
-                return
-            if self.queued >= self.limit.max_queue:
-                self._sync_gauges()
-                raise self._reject("queue full")
-            self.queued += 1
-            self._sync_gauges()
-            try:
-                while self.active >= self.limit.max_concurrent:
-                    remaining = give_up_at - time.monotonic()
-                    if remaining <= 0:
-                        raise self._reject("queue wait timed out")
-                    self._cond.wait(remaining)
-                self.active += 1
-                self.max_active = max(self.max_active, self.active)
-            finally:
-                self.queued -= 1
-                self._sync_gauges()
-
-    def _release(self) -> None:
-        with self._cond:
-            self.active -= 1
-            self._sync_gauges()
-            self._cond.notify()
-
-
-@dataclass(frozen=True)
 class AdmissionConfig:
     """Tuning for the whole admission layer.
 
-    Defaults are deliberately generous: bulkheads sized well above the
-    test suite's concurrency, evaluation gated on simulated time, and
-    tier thresholds that a single recovering breaker (half-open, +1)
-    cannot trip — admission only bites under genuine distress.
+    Defaults are deliberately generous: evaluation gated on simulated
+    time, and tier thresholds that a single recovering breaker
+    (half-open, +1) cannot trip — admission only bites under genuine
+    distress.
     """
 
-    #: per-service bulkhead overrides, e.g. ``{"slurmctld": BulkheadLimit(4, 8)}``
-    bulkheads: Mapping[str, BulkheadLimit] = field(default_factory=dict)
-    default_bulkhead: BulkheadLimit = BulkheadLimit()
-    #: wall-clock seconds a caller may wait in the bulkhead queue
-    queue_wait_s: float = 5.0
-    #: Retry-After hint attached to 429/brownout/shed rejections
+    #: Retry-After hint attached to brownout/shed rejections
     retry_after_s: float = 1.0
     #: minimum simulated seconds between controller evaluations
     eval_interval_s: float = 5.0
@@ -238,18 +123,12 @@ class AdmissionConfig:
     #: route p95 latency (s) that scores +1 / +2 distress
     p95_brownout_s: float = 1.0
     p95_shed_s: float = 5.0
-    #: bulkhead queue utilisation (0..1) that scores +1 distress
-    queue_pressure: float = 0.5
     #: TTL stretch applied to every source while not in "normal"
     brownout_ttl_multiplier: float = 4.0
     #: routes disabled during brownout (the expensive aggregates)
     expensive_routes: Tuple[str, ...] = ("job_performance", "job_overview")
     #: routes that survive even shed (liveness surface + My Jobs)
     essential_routes: Tuple[str, ...] = ("homepage", "my_jobs")
-
-    def limit_for(self, service: str) -> BulkheadLimit:
-        """The bulkhead limit configured for ``service``."""
-        return self.bulkheads.get(service, self.default_bulkhead)
 
 
 @dataclass
@@ -268,11 +147,9 @@ class AdmissionController:
 
     Each evaluation (rate-limited to one per ``eval_interval_s`` of
     *simulated* time, so request bursts at one instant evaluate once)
-    computes a distress score from three signals:
+    computes a distress score from two signals:
 
     * circuit breakers — +2 per open breaker, +1 per half-open;
-    * bulkhead queues — +1 when total depth passes ``queue_pressure``
-      of capacity, +2 when the queues are full;
     * route latency — +1 / +2 when the aggregate route p95 passes the
       brownout / shed thresholds.
 
@@ -345,21 +222,10 @@ class AdmissionController:
 
     def score(self) -> Tuple[int, Dict[str, Any]]:
         """Current distress score and the signals behind it."""
-        score = 0
         states = self.fetcher.breaker_states()
         open_n = sum(1 for s in states.values() if s == "open")
         half_n = sum(1 for s in states.values() if s == "half_open")
-        score += 2 * open_n + half_n
-
-        depth = capacity = 0
-        for bulkhead in self.fetcher.bulkheads():
-            depth += bulkhead.queued
-            capacity += bulkhead.limit.max_queue
-        utilisation = (depth / capacity) if capacity else 0.0
-        if utilisation >= 1.0:
-            score += 2
-        elif utilisation >= self.config.queue_pressure:
-            score += 1
+        score = 2 * open_n + half_n
 
         p95 = self._route_p95()
         if p95 is not None:
@@ -371,8 +237,6 @@ class AdmissionController:
         signals = {
             "breakers_open": open_n,
             "breakers_half_open": half_n,
-            "bulkhead_queue_depth": depth,
-            "bulkhead_queue_utilisation": round(utilisation, 3),
             "route_p95_s": round(p95, 6) if p95 is not None else None,
             "score": score,
         }

@@ -78,52 +78,27 @@ class CircuitOpenError(DaemonError):
         )
 
 
-class AdmissionError(DaemonError):
-    """Base for admission-control rejections (deadline, bulkhead).
-
-    Subclasses :class:`DaemonError` so the cache's serve-stale rescue
-    applies — a rejected request still prefers stale data over an error
-    — but the fetch path re-raises these *unwrapped* so the route layer
-    can map them to their own status codes (504 / 429) instead of the
-    generic 503.  Admission rejections are never counted against the
-    backend's circuit breaker: the backend did nothing wrong.
-    """
-
-    def __init__(self, daemon: str, message: str, retry_after_s: float = 1.0):
-        self.retry_after_s = retry_after_s
-        super().__init__(daemon, message)
-
-
-class DeadlineExceededError(AdmissionError):
+class DeadlineExceededError(DaemonError):
     """The request's time budget ran out before an attempt could finish —
     the retry loop stops scheduling work the client would never see.
-    The route layer maps this to a structured HTTP 504."""
+    The route layer maps this to a structured HTTP 504.
+
+    Subclasses :class:`DaemonError` so the cache's serve-stale rescue
+    applies — an out-of-budget request still prefers stale data over an
+    error — but the fetch path re-raises it *unwrapped*, so it keeps its
+    504 instead of the generic 503.  It is never counted against the
+    backend's circuit breaker: the backend did nothing wrong.
+    """
 
     def __init__(self, daemon: str, budget_s: float, elapsed_s: float,
                  retry_after_s: float = 1.0):
         self.budget_s = budget_s
         self.elapsed_s = elapsed_s
+        self.retry_after_s = retry_after_s
         super().__init__(
             daemon,
             f"deadline of {budget_s:.3f}s exhausted after {elapsed_s:.3f}s "
             f"waiting on {daemon}",
-            retry_after_s=retry_after_s,
-        )
-
-
-class BulkheadSaturatedError(AdmissionError):
-    """The per-service bulkhead is full (all slots busy, wait queue at
-    capacity) — the request is rejected instead of piling onto a stuck
-    backend.  The route layer maps this to HTTP 429 + ``Retry-After``."""
-
-    def __init__(self, daemon: str, retry_after_s: float = 1.0,
-                 reason: str = "queue full"):
-        self.reason = reason
-        super().__init__(
-            daemon,
-            f"bulkhead for {daemon} is saturated ({reason}); "
-            f"retry in {retry_after_s:.0f}s",
-            retry_after_s=retry_after_s,
         )
 
 

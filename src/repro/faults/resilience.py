@@ -28,9 +28,8 @@ from repro.obs import NULL_TRACER
 from repro.sim.clock import SimClock
 from repro.sim.rng import RandomStreams
 
-from .admission import AdmissionConfig, Bulkhead, Deadline
+from .admission import Deadline
 from .errors import (
-    BulkheadSaturatedError,
     CircuitOpenError,
     DaemonError,
     DaemonTimeoutError,
@@ -234,22 +233,18 @@ class ResilientFetcher:
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerConfig] = None,
         seed: int = 0,
-        admission: Optional[AdmissionConfig] = None,
     ):
         self.cache = cache
         self.daemons = daemons
         self.policy = policy
         self.retry = retry or RetryPolicy()
         self.breaker_config = breaker or BreakerConfig()
-        self.admission = admission or AdmissionConfig()
         #: brownout controller, wired in by DashboardContext (None when the
         #: fetcher is used standalone — TTLs then stay un-stretched)
         self.controller: Optional["AdmissionController"] = None
         self.rng = RandomStreams(seed=seed)
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()
-        self._bulkheads: Dict[str, Bulkhead] = {}
-        self._bulkhead_lock = threading.Lock()
         #: every backoff delay slept this run, in order (determinism tests)
         self.backoff_log: List[float] = []
         #: hook invoked with each backoff delay; default is a no-op because
@@ -274,10 +269,6 @@ class ResilientFetcher:
             "Requests rejected by the admission layer, by reason.",
             ("reason",),
         )
-        # eager bulkheads for the daemon services so their gauges render
-        # (with zero values) before any traffic arrives
-        for service in sorted(DAEMON_SERVICES):
-            self.bulkhead_for(service)
 
     # -- breakers -----------------------------------------------------------
 
@@ -302,27 +293,6 @@ class ResilientFetcher:
             breakers = list(self._breakers.values())
         return {b.daemon: b.state for b in breakers}
 
-    # -- bulkheads ----------------------------------------------------------
-
-    def bulkhead_for(self, service: str) -> Bulkhead:
-        """The (lazily created) bulkhead limiting ``service`` concurrency."""
-        with self._bulkhead_lock:
-            bulkhead = self._bulkheads.get(service)
-            if bulkhead is None:
-                bulkhead = Bulkhead(
-                    service,
-                    self.admission.limit_for(service),
-                    registry=self.cache.metrics,
-                    retry_after_s=self.admission.retry_after_s,
-                )
-                self._bulkheads[service] = bulkhead
-            return bulkhead
-
-    def bulkheads(self) -> List[Bulkhead]:
-        """Every instantiated bulkhead (for the brownout controller)."""
-        with self._bulkhead_lock:
-            return list(self._bulkheads.values())
-
     # -- the fetch path -----------------------------------------------------
 
     def fetch(
@@ -346,19 +316,17 @@ class ResilientFetcher:
         degraded.  With no stale copy, :class:`SourceUnavailableError`
         propagates (to the leader and every follower alike).
 
-        Admission layers on top: the leader compute holds a per-service
-        :class:`Bulkhead` slot, and a ``deadline`` bounds total spend —
-        the retry loop stops scheduling attempts once the remaining
-        budget cannot cover another timeout + backoff, and followers
-        never wait longer than the budget allows.  Both rejections
-        (:class:`DeadlineExceededError`, :class:`BulkheadSaturatedError`)
-        still prefer stale data, but with no stale copy they propagate
-        *unwrapped* so the route layer can map 504 / 429.
+        A ``deadline`` bounds total spend: the retry loop stops
+        scheduling attempts once the remaining budget cannot cover
+        another timeout + backoff, and followers never wait longer than
+        the budget allows.  :class:`DeadlineExceededError` still prefers
+        stale data, but with no stale copy it propagates *unwrapped* so
+        the route layer can map it to 504.
 
         Hits past the source's soft TTL additionally arm **refresh-ahead**
         (when the cache has a worker pool wired): the hit is served
-        instantly and a background revalidation — same bulkhead, same
-        breaker accounting, but its own short
+        instantly and a background revalidation — same breaker
+        accounting, but its own short
         :attr:`CachePolicy.refresh_deadline_s` budget — rewrites the
         entry off-thread before it hard-expires.
         """
@@ -406,8 +374,8 @@ class ResilientFetcher:
                 soft_ttl=soft_ttl,
                 refresh=refresh_compute,
             )
-        except (DeadlineExceededError, BulkheadSaturatedError):
-            raise  # admission rejections keep their own status codes
+        except DeadlineExceededError:
+            raise  # an exhausted budget keeps its own status code
         except DaemonError as exc:
             raise SourceUnavailableError(source, service, exc) from exc
         if result.stale_age_s is None:
@@ -443,24 +411,6 @@ class ResilientFetcher:
             raise DeadlineExceededError(
                 service, deadline.budget_s, deadline.elapsed()
             )
-        bulkhead = self.bulkhead_for(service)
-        wait_s = self.admission.queue_wait_s
-        if deadline is not None:
-            wait_s = max(0.0, min(wait_s, deadline.remaining()))
-        with bulkhead.slot(wait_s):
-            with self.daemons.inflight(service):
-                return self._retry_loop(
-                    source, service, compute, attempts, deadline
-                )
-
-    def _retry_loop(
-        self,
-        source: str,
-        service: str,
-        compute: Callable[[], Any],
-        attempts: Dict[str, Any],
-        deadline: Optional[Deadline],
-    ) -> Any:
         breaker = self.breaker_for(service)
         timeout_s = self.policy.timeout_for(source)
         plan = getattr(self.daemons, "faults", None)

@@ -59,11 +59,6 @@ class DaemonLoadModel:
         self.failed_rpcs = 0
         self.rpcs_by_kind: Dict[str, int] = defaultdict(int)
         self._latency_sum = 0.0
-        #: compute blocks currently in flight against this daemon (tracked
-        #: by :meth:`DaemonBus.inflight`) and the lifetime high-water mark —
-        #: the bulkhead benchmarks assert the mark never exceeds the limit
-        self.inflight = 0
-        self.max_inflight = 0
         #: chaos schedule consulted on every RPC (None = healthy daemon)
         self.faults: Optional["FaultPlan"] = None
 
@@ -136,8 +131,6 @@ class DaemonLoadModel:
             "current_latency_s": round(self.latency_at(now), 6),
             "mean_latency_s": round(self.mean_latency, 6),
             "rpcs_by_kind": dict(sorted(self.rpcs_by_kind.items())),
-            "inflight": self.inflight,
-            "max_inflight": self.max_inflight,
         }
 
     def reset_counters(self) -> None:
@@ -147,7 +140,6 @@ class DaemonLoadModel:
         self.rpcs_by_kind.clear()
         self._latency_sum = 0.0
         self._events.clear()
-        self.max_inflight = self.inflight  # currently-running work still counts
 
 
 class LatencyProbe:
@@ -186,7 +178,6 @@ class DaemonBus:
         )
         self.faults: Optional["FaultPlan"] = None
         self._probe_local = threading.local()
-        self._inflight_lock = threading.Lock()
         #: metrics registry (None until a dashboard attaches one)
         self.metrics: Optional["MetricsRegistry"] = None
         self._rpc_total = None
@@ -243,30 +234,6 @@ class DaemonBus:
             yield probe
         finally:
             stack.remove(probe)
-
-    @contextmanager
-    def inflight(self, daemon: str) -> Iterator[None]:
-        """Track one compute block in flight against ``daemon`` — the
-        concurrency the bulkheads exist to bound.  Unknown service names
-        (news, storage: not daemons) are a no-op."""
-        model: Optional[DaemonLoadModel]
-        if daemon == "slurmctld":
-            model = self.ctld
-        elif daemon == "slurmdbd":
-            model = self.dbd
-        else:
-            model = None
-        if model is None:
-            yield
-            return
-        with self._inflight_lock:
-            model.inflight += 1
-            model.max_inflight = max(model.max_inflight, model.inflight)
-        try:
-            yield
-        finally:
-            with self._inflight_lock:
-                model.inflight -= 1
 
     def model_for(self, command: str) -> DaemonLoadModel:
         """The daemon model that serves a given command."""

@@ -1,7 +1,8 @@
 """HTTP delivery-layer helpers: validators, negotiation, header hygiene.
 
-ROADMAP item 5 takes the paper's §2.4 dual-layer caching story onto the
-wire.  This module holds the policy pieces the request handler composes:
+The delivery layer takes the paper's §2.4 dual-layer caching story onto
+the wire.  This module holds the policy pieces the request handler
+composes:
 
 * :class:`ValidatorIndex` — the server-side ETag book-keeping that lets
   a repeat poll of an unchanged widget be answered ``304 Not Modified``
@@ -118,7 +119,7 @@ def content_disposition(filename: str) -> str:
 class RetryJitter:
     """Deterministic seeded jitter for ``Retry-After`` hints.
 
-    Every admission rejection (429/503/504) used to carry the *same*
+    Every rejection or outage (503/504) used to carry the *same*
     retry budget, so every rejected client slept the same interval and
     re-stampeded the recovering daemon in lockstep.  Each call draws the
     next value from one seeded :class:`~repro.sim.rng.RandomStreams`

@@ -278,7 +278,7 @@ class _Handler(BaseHTTPRequestHandler):
                              request_key: Optional[str] = None) -> None:
         """Send a :class:`RouteResponse`, surfacing backpressure hints.
 
-        Admission rejections (429/503/504) carry a retry budget; clients
+        Rejections and outages (503/504) carry a retry budget; clients
         honouring ``Retry-After`` spread their retries instead of piling
         onto an overloaded daemon.  Responses computed purely from fresh
         cache entries additionally carry an ETag.

@@ -12,6 +12,7 @@ from repro.core.pages.job_overview import render_job_overview
 from repro.core.pages.job_performance import render_job_performance
 from repro.core.pages.my_jobs import render_my_jobs
 from repro.core.pages.node_overview import render_node_overview
+from repro.core.params import coerce_params
 
 
 def page(dash, name, viewer, params=None):
@@ -95,6 +96,15 @@ class TestMyJobs:
     def test_bad_state_filter_isolated(self, dash, alice_v):
         resp = dash.call("my_jobs", alice_v, {"state": "EXPLODED"})
         assert not resp.ok and resp.status == 400
+
+    @pytest.mark.parametrize("params,status", [
+        ({"start": "abc"}, 400),
+        ({"end": "x"}, 400),
+        ({"start": 0, "end": 1e12}, 200),
+    ])
+    def test_time_bounds_must_be_numbers(self, dash, alice_v, params, status):
+        resp = dash.call("my_jobs", alice_v, params)
+        assert resp.status == status, resp.error
 
     def test_search_filter(self, dash, alice_v):
         data = page(dash, "my_jobs", alice_v, {"search": "crashy"})
@@ -216,15 +226,20 @@ class TestClusterStatus:
         assert all(n["state"] == "MIXED" for n in data["nodes"])
 
     def test_sort_by_cpu_load_desc(self, dash, alice_v):
-        data = page(
-            dash, "cluster_status", alice_v, {"sort": "cpu_load", "desc": True}
-        )
+        params = coerce_params([("sort", "cpu_load"), ("desc", "true")])
+        data = page(dash, "cluster_status", alice_v, params)
         fractions = [n["cpu_fraction"] for n in data["nodes"]]
         assert fractions == sorted(fractions, reverse=True)
 
     def test_bad_sort_isolated(self, dash, alice_v):
         resp = dash.call("cluster_status", alice_v, {"sort": "favourite_color"})
         assert not resp.ok and resp.status == 400
+
+    @pytest.mark.parametrize("flag", ["maybe", "1"])
+    def test_desc_accepts_only_true_or_false(self, dash, alice_v, flag):
+        params = coerce_params([("sort", "cpu_load"), ("desc", flag)])
+        resp = dash.call("cluster_status", alice_v, params)
+        assert resp.status == 400, resp.error
 
     def test_node_links(self, dash, alice_v):
         data = page(dash, "cluster_status", alice_v)

@@ -6,7 +6,6 @@ from repro.auth import PermissionDenied, Viewer
 from repro.core.params import ParamError
 from repro.core.routes import ApiRoute, RouteRegistry
 from repro.faults import (
-    BulkheadSaturatedError,
     CircuitOpenError,
     DaemonError,
     DeadlineExceededError,
@@ -61,7 +60,6 @@ class TestRegistry:
 #: every handler failure the dispatcher maps, as
 #: (exception, status, error text, degraded, retry_after_s)
 _DEADLINE = DeadlineExceededError("slurmctld", 1.0, 1.5, retry_after_s=2.0)
-_BULKHEAD = BulkheadSaturatedError("slurmdbd", retry_after_s=3.0)
 _UNAVAILABLE = SourceUnavailableError(
     "squeue", "slurmctld", CircuitOpenError("slurmctld", retry_after_s=7.0)
 )
@@ -72,8 +70,6 @@ DISPATCH_MAPPINGS = [
                  id="400-param-error"),
     pytest.param(_DEADLINE, 504, str(_DEADLINE), True, 2.0,
                  id="504-deadline"),
-    pytest.param(_BULKHEAD, 429, str(_BULKHEAD), True, 3.0,
-                 id="429-bulkhead"),
     pytest.param(_UNAVAILABLE, 503, str(_UNAVAILABLE), True, 7.0,
                  id="503-chained-hint"),
     pytest.param(DaemonError("slurmctld", "down"), 503, "down", True, None,

@@ -1,20 +1,15 @@
-"""Admission control: deadlines, bulkheads, and the brownout loop.
+"""Admission control: deadlines and the brownout loop.
 
 The overload contract added on top of retry/breaker/serve-stale:
 
 * a request's :class:`Deadline` bounds total spend — the retry loop
   stops the moment the remaining budget cannot cover another attempt,
   producing a structured 504 with no wasted backoff;
-* a per-service :class:`Bulkhead` bounds concurrent leader computes —
-  beyond the wait queue, callers get an immediate structured 429;
 * the :class:`AdmissionController` steps ``normal → brownout → shed``
   one tier per evaluation and keeps essential routes alive throughout.
 """
 
 from __future__ import annotations
-
-import threading
-from contextlib import ExitStack
 
 import pytest
 
@@ -24,9 +19,6 @@ from repro.core.dashboard import Dashboard
 from repro.faults import (
     AdmissionConfig,
     AdmissionController,
-    Bulkhead,
-    BulkheadLimit,
-    BulkheadSaturatedError,
     Deadline,
     DeadlineExceededError,
     FaultPlan,
@@ -69,117 +61,14 @@ class TestDeadline:
         assert d.remaining() < 0
 
 
-class TestBulkheadLimit:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BulkheadLimit(max_concurrent=0)
-        with pytest.raises(ValueError):
-            BulkheadLimit(max_queue=-1)
-
-
-class TestBulkhead:
-    def make(self, max_concurrent=2, max_queue=4):
-        registry = MetricsRegistry()
-        bh = Bulkhead(
-            "slurmctld", BulkheadLimit(max_concurrent, max_queue), registry,
-            retry_after_s=2.0,
-        )
-        return bh, registry
-
-    def test_slot_released_after_block(self):
-        bh, registry = self.make()
-        with bh.slot(0.0):
-            assert bh.active == 1
-        assert bh.active == 0
-        assert bh.max_active == 1
-        assert registry.get("repro_bulkhead_active").value(service="slurmctld") == 0.0
-
-    def test_queue_full_rejects_immediately(self):
-        bh, registry = self.make(max_concurrent=1, max_queue=0)
-        with bh.slot(0.0):
-            with pytest.raises(BulkheadSaturatedError) as err:
-                with bh.slot(10.0):
-                    pass  # pragma: no cover - never acquired
-        assert err.value.retry_after_s == 2.0
-        assert "queue full" in str(err.value)
-        assert bh.rejected == 1
-        rejected = registry.get("repro_admission_rejected_total")
-        assert rejected.value(reason="bulkhead") == 1.0
-
-    def test_queued_waiter_times_out(self):
-        bh, _ = self.make(max_concurrent=1, max_queue=2)
-        with bh.slot(0.0):
-            with pytest.raises(BulkheadSaturatedError) as err:
-                with bh.slot(0.0):  # queue has room, slot never frees
-                    pass  # pragma: no cover
-        assert "timed out" in str(err.value)
-        assert bh.queued == 0  # waiter cleaned up after giving up
-
-    def test_concurrency_never_exceeds_limit(self):
-        bh, _ = self.make(max_concurrent=3, max_queue=16)
-        barrier = threading.Barrier(8)
-        errors = []
-
-        def worker():
-            barrier.wait()
-            try:
-                with bh.slot(wait_timeout_s=10.0):
-                    pass
-            except Exception as exc:  # pragma: no cover - would fail the test
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert not errors
-        assert bh.max_active <= 3
-        assert bh.active == 0 and bh.queued == 0
-
-    def test_queue_depth_gauge_tracks_waiters(self):
-        bh, registry = self.make(max_concurrent=1, max_queue=4)
-        gauge = registry.get("repro_bulkhead_queue_depth")
-        entered = threading.Event()
-        release = threading.Event()
-
-        def holder():
-            with bh.slot(0.0):
-                entered.set()
-                release.wait(timeout=10)
-
-        def waiter():
-            with bh.slot(10.0):
-                pass
-
-        hold = threading.Thread(target=holder)
-        hold.start()
-        assert entered.wait(timeout=10)
-        wait = threading.Thread(target=waiter)
-        wait.start()
-        for _ in range(1000):
-            if gauge.value(service="slurmctld") == 1.0:
-                break
-            threading.Event().wait(0.005)
-        assert gauge.value(service="slurmctld") == 1.0
-        release.set()
-        hold.join(timeout=10)
-        wait.join(timeout=10)
-        assert gauge.value(service="slurmctld") == 0.0
-
-
 class _StubFetcher:
     """Just enough fetcher surface for the controller's signals."""
 
     def __init__(self):
         self.states = {}
-        self._bulkheads = []
 
     def breaker_states(self):
         return dict(self.states)
-
-    def bulkheads(self):
-        return list(self._bulkheads)
 
 
 def make_controller(**overrides):
@@ -262,14 +151,6 @@ class TestAdmissionController:
         clock.advance(5)
         assert ctrl.maybe_evaluate() == "brownout"
 
-    def test_full_bulkhead_queues_score_distress(self):
-        ctrl, fetcher, _, _ = make_controller()
-        registry = MetricsRegistry()
-        bh = Bulkhead("slurmctld", BulkheadLimit(1, 2), registry)
-        bh.queued = 2  # both queue seats taken -> utilisation 1.0 -> +2
-        fetcher._bulkheads = [bh]
-        assert ctrl.evaluate() == "brownout"
-
     def test_report_shape(self):
         ctrl, fetcher, _, _ = make_controller()
         fetcher.states = {"slurmctld": "open"}
@@ -279,6 +160,9 @@ class TestAdmissionController:
         assert report["tier_index"] == 1
         assert report["signals"]["breakers_open"] == 1
         assert report["signals"]["score"] == 2
+        assert set(report["signals"]) == {
+            "breakers_open", "breakers_half_open", "route_p95_s", "score",
+        }
 
 
 @pytest.fixture

@@ -39,7 +39,6 @@ class TestDegeneratePayloads:
         assert "no breaker gauges" in out
         assert "no brownout tier gauge" in out
         assert "no tier transitions recorded" in out
-        assert "no bulkhead gauges" in out
 
     def test_truncated_line_is_dropped_not_fatal(self, obs_report):
         payload = (
@@ -118,11 +117,8 @@ class TestAdmissionSections:
         "repro_brownout_tier 1\n"
         'repro_brownout_transitions_total{to="brownout"} 2\n'
         'repro_brownout_transitions_total{to="normal"} 1\n'
-        'repro_admission_rejected_total{reason="bulkhead"} 4\n'
+        'repro_admission_rejected_total{reason="deadline"} 4\n'
         'repro_admission_rejected_total{reason="shed"} 3\n'
-        'repro_bulkhead_active{service="slurmctld"} 2\n'
-        'repro_bulkhead_queue_depth{service="slurmctld"} 5\n'
-        'repro_bulkhead_queue_depth{service="slurmdbd"} 1\n'
     )
 
     def _by_name(self, obs_report, payload):
@@ -145,31 +141,19 @@ class TestAdmissionSections:
         rows = obs_report.rejection_table(
             self._by_name(obs_report, self.PAYLOAD)
         )
-        assert rows == {
-            "deadline": 0.0, "bulkhead": 4.0, "brownout": 0.0, "shed": 3.0,
-        }
+        assert rows == {"deadline": 4.0, "brownout": 0.0, "shed": 3.0}
         out = obs_report.render_report(self.PAYLOAD)
         assert any(l.split() == ["total", "7"] for l in out.splitlines())
-
-    def test_bulkheads_per_service(self, obs_report):
-        rows = obs_report.bulkhead_table(
-            self._by_name(obs_report, self.PAYLOAD)
-        )
-        assert rows == [
-            {"service": "slurmctld", "active": 2.0, "queued": 5.0},
-            {"service": "slurmdbd", "active": 0.0, "queued": 1.0},
-        ]
 
     def test_scrape_cut_anywhere_still_renders(self, obs_report):
         """A scrape may end mid-line; every section must still render."""
         for cut in range(len(self.PAYLOAD)):
             out = obs_report.render_report(self.PAYLOAD[:cut])
-            for header in ("== Admission tier ==", "== Rejections by reason ==",
-                           "== Bulkheads =="):
+            for header in ("== Admission tier ==", "== Rejections by reason =="):
                 assert header in out
         out = obs_report.render_report(self.PAYLOAD[:-20])
         assert "admission tier: brownout (gauge=1)" in out
-        assert "slurmctld" in out
+        assert any(l.split() == ["deadline", "4"] for l in out.splitlines())
 
 
 class TestCli:

@@ -214,15 +214,9 @@ when the daemons are struggling:
    backoff, and single-flight followers never wait past the budget.
    Exhaustion is a structured `504` with `retry_after_s` set — never a
    hang, and never backoff the client would not live to see.
-2. **Bulkheads** — each daemon service gets a `Bulkhead`
-   (`AdmissionConfig.bulkheads`, default 8 concurrent + 16 queued):
-   at most `max_concurrent` leader computes in flight, a bounded wait
-   queue behind them, and an immediate structured `429` with a
-   `Retry-After` header for everyone past the queue — one stuck daemon
-   cannot absorb every server thread.
-3. **Brownout control** — an `AdmissionController` feedback loop scores
-   distress from breaker states (+2 open, +1 half-open), bulkhead queue
-   utilisation, and the aggregate route p95, then steps the dashboard
+2. **Brownout control** — an `AdmissionController` feedback loop scores
+   distress from breaker states (+2 open, +1 half-open) and the
+   aggregate route p95, then steps the dashboard
    `normal → brownout → shed` one tier per evaluation (rate-limited on
    sim time, with a `min_dwell_s` before stepping back down).
    *Brownout* stretches every TTL by `brownout_ttl_multiplier` and
@@ -232,22 +226,20 @@ when the daemons are struggling:
    My Jobs stay alive throughout.
 
 Rejections never count against the circuit breakers (they are not
-backend failures), and stale cache entries still rescue a deadline- or
-bulkhead-rejected request when one exists. `/healthz` reports the
-current tier and the signals behind it. The metric families:
+backend failures), and stale cache entries still rescue a request whose
+deadline ran out when one exists. `/healthz` reports the current tier
+and the signals behind it. The metric families:
 
 | family | labels | source |
 | --- | --- | --- |
-| `repro_admission_rejected_total` | `reason` (`deadline` / `bulkhead` / `brownout` / `shed`) | every admission rejection |
-| `repro_bulkhead_active` | `service` | slots currently held (gauge) |
-| `repro_bulkhead_queue_depth` | `service` | callers waiting for a slot (gauge) |
+| `repro_admission_rejected_total` | `reason` (`deadline` / `brownout` / `shed`) | every admission rejection |
 | `repro_brownout_tier` | — | current tier index (0/1/2, gauge) |
 | `repro_brownout_transitions_total` | `to` | tier transitions |
 
 `tools/obs_report.py` renders these families as operator sections
-(tier and transitions, rejections by reason, bulkhead occupancy) next
-to its breaker table; `benchmarks/test_perf_admission.py` is the
-overload benchmark (set `ADMISSION_SMOKE=1` for the CI-sized run).
+(tier and transitions, rejections by reason) next to its breaker
+table; `benchmarks/test_perf_admission.py` pins the brownout surface
+over HTTP (set `ADMISSION_SMOKE=1` for the CI-sized run).
 """
 
 
@@ -267,8 +259,8 @@ request path entirely:
    deduplicated background revalidation — refreshes share the same
    per-key single-flight map as miss coalescing, so a miss-leader and a
    refresh can never compute concurrently. The background refresh runs
-   on the worker pool under the same per-service bulkhead and breaker
-   accounting as a foreground fetch, but with its own short
+   on the worker pool under the same breaker accounting as a
+   foreground fetch, but with its own short
    `CachePolicy.refresh_deadline_s` budget (default 5 s). In steady
    state a hot key costs **zero on-request RPCs**: users always read
    the cache, and the cache rewrites itself behind them.

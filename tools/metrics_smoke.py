@@ -244,8 +244,6 @@ def main() -> int:
             # admission layer: pre-seeded at startup so the families
             # render even before any rejection happens
             "repro_admission_rejected_total",
-            "repro_bulkhead_queue_depth",
-            "repro_bulkhead_active",
             "repro_brownout_tier",
             # refresh-ahead + worker pool: pre-seeded/gauged at startup
             # and driven live by drive_refresh_ahead above

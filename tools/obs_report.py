@@ -10,9 +10,8 @@ Reads Prometheus text exposition (a file, stdin, or a live scrape with
 * refresh-ahead activity per source (background revalidations and hits
   served while one was in flight) plus worker-pool occupancy;
 * circuit-breaker states and transition counts;
-* the admission tier and its lifetime transitions, admission
-  rejections by reason (deadline / bulkhead / brownout / shed), and
-  bulkhead occupancy per service (active slots, queued waiters);
+* the admission tier and its lifetime transitions, and admission
+  rejections by reason (deadline / brownout / shed);
 * daemon RPC volume and failures.
 
 Run::
@@ -245,24 +244,6 @@ def rejection_table(by_name) -> Dict[str, float]:
     }
 
 
-def bulkhead_table(by_name) -> List[dict]:
-    """Per-service bulkhead occupancy: slots held and callers queued."""
-    active = by_name.get("repro_bulkhead_active", [])
-    queued = by_name.get("repro_bulkhead_queue_depth", [])
-    services = sorted(
-        {s.labeldict.get("service", "") for s in active}
-        | {s.labeldict.get("service", "") for s in queued}
-    )
-    return [
-        {
-            "service": service,
-            "active": _sum_where(active, service=service),
-            "queued": _sum_where(queued, service=service),
-        }
-        for service in services
-    ]
-
-
 def daemon_table(by_name) -> List[dict]:
     rpcs = by_name.get("repro_daemon_rpcs_total", [])
     failed = by_name.get("repro_daemon_rpcs_failed_total", [])
@@ -370,19 +351,6 @@ def render_report(payload: str, top: int = 10) -> str:
     for reason in REJECT_REASONS:
         lines.append(f"{reason:<10} {rejections[reason]:>8.0f}")
     lines.append(f"{'total':<10} {sum(rejections.values()):>8.0f}")
-
-    lines.append("")
-    lines.append("== Bulkheads ==")
-    bulkheads = bulkhead_table(by_name)
-    if bulkheads:
-        lines.append(f"{'service':<16} {'active':>7} {'queued':>7}")
-        for row in bulkheads:
-            lines.append(
-                f"{row['service']:<16} {row['active']:>7.0f} "
-                f"{row['queued']:>7.0f}"
-            )
-    else:
-        lines.append("(no bulkhead gauges in payload)")
 
     daemons = daemon_table(by_name)
     if daemons:
