@@ -1,10 +1,10 @@
-"""P6 — admission control under overload (deadlines, brownout).
+"""P6 — admission control under overload (brownout).
 
-The resilience layers of earlier PRs protect individual fetches; this
-bench checks the *admission* contract when the dashboard as a whole is
-in distress: with a breaker open and the control loop in brownout,
-``/healthz`` and My Jobs keep answering 200 over HTTP while expensive
-routes are shed with 503 and tight client deadlines become 504s.
+The resilience layers protect individual fetches; this bench checks the
+*admission* contract when the dashboard as a whole is in distress: with
+a breaker open and the control loop in brownout, ``/healthz`` and My
+Jobs keep answering 200 over HTTP while expensive routes are shed with
+503.
 
 Set ``ADMISSION_SMOKE=1`` to run with fewer probe rounds (CI smoke).
 """
@@ -17,7 +17,6 @@ import os
 import urllib.error
 import urllib.request
 
-from repro.core.caching import CachePolicy
 from repro.faults import AdmissionConfig, FaultPlan
 from repro.web.server import DashboardServer
 
@@ -26,11 +25,9 @@ from .conftest import fresh_world
 SMOKE = os.environ.get("ADMISSION_SMOKE") == "1"
 
 
-def _get(url, username=None, headers=None):
-    all_headers = dict(headers or {})
-    if username:
-        all_headers["X-Remote-User"] = username
-    req = urllib.request.Request(url, headers=all_headers)
+def _get(url, username=None):
+    headers = {"X-Remote-User": username} if username else {}
+    req = urllib.request.Request(url, headers=headers)
     try:
         with urllib.request.urlopen(req, timeout=10) as resp:
             return resp.status, resp.headers, resp.read()
@@ -40,19 +37,17 @@ def _get(url, username=None, headers=None):
 
 def test_perf_brownout_keeps_essentials_alive(report):
     """Brownout over a real socket: essential surface stays 200, the
-    expensive route sheds with Retry-After, tight deadlines become 504."""
+    expensive route sheds with Retry-After."""
     dash, directory, viewer = fresh_world(
         seed=17,
         hours=1.0,
-        cache_policy=CachePolicy(timeouts_s={"squeue": 1.0}),
         admission=AdmissionConfig(eval_interval_s=0.0),
     )
     user = viewer.username
     plan = FaultPlan()
-    # news is hard-down (this is what opens a breaker and trips the
-    # controller); slurmctld is merely slow — alive but over its timeout
+    # news is hard-down: this is what opens a breaker and trips the
+    # controller
     plan.schedule_outage("news", start=dash.clock.now(), end=math.inf)
-    plan.schedule_slowdown("slurmctld", extra_latency_s=5.0)
     dash.inject_faults(plan)
 
     with DashboardServer(dash) as server:
@@ -84,20 +79,9 @@ def test_perf_brownout_keeps_essentials_alive(report):
         assert statuses["my_jobs"] == {200}
         assert statuses["job_performance"] == {503}
 
-        # a client-supplied 50 ms budget cannot cover the 5 s-slow daemon
-        status, headers, body = _get(
-            server.url + "/api/v1/widgets/recent_jobs",
-            username=user,
-            headers={"X-Request-Deadline-Ms": "50"},
-        )
-        assert status == 504
-        assert int(headers["Retry-After"]) >= 1
-        assert "deadline" in json.loads(body)["error"]
-
     report(
         "",
-        "P6b: brownout over HTTP (news outage + slow slurmctld)",
+        "P6b: brownout over HTTP (news outage)",
         f"tier at first probe: {tier}; healthz/my_jobs stayed 200, "
-        "job_performance shed 503 + Retry-After, 50 ms client deadline "
-        "-> 504 + Retry-After",
+        "job_performance shed 503 + Retry-After",
     )

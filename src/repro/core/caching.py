@@ -527,7 +527,7 @@ class TTLCache:
         same ``_inflight`` map the miss path uses, so at most one compute
         per key ever runs).  The gate is consulted at *arm* time only: a
         refresh already running when the dashboard browns out is allowed
-        to finish — it holds a worker-pool thread and a short deadline,
+        to finish — it holds a worker-pool thread for a single attempt,
         so it is bounded anyway.
         """
         if self.refresh_runner is None:
@@ -806,15 +806,6 @@ class CachePolicy:
     timeout_default_s: float = 30.0
     #: per-source timeout overrides, e.g. ``{"squeue": 0.5}``
     timeouts_s: Mapping[str, float] = field(default_factory=dict)
-    #: default per-request deadline (charged wall time + simulated costs);
-    #: generous enough that a full retry schedule against a slowed daemon
-    #: (3 attempts × timeout + backoff) fits — only injected tight budgets
-    #: or client ``X-Request-Deadline-Ms`` headers trip it
-    deadline_default_s: float = 300.0
-    #: hard cap on any deadline, including client-supplied ones
-    deadline_max_s: float = 900.0
-    #: per-route deadline overrides, e.g. ``{"recent_jobs": 3.0}``
-    deadlines_s: Mapping[str, float] = field(default_factory=dict)
     #: refresh-ahead master switch: when False no soft TTLs are computed
     #: and lookups never arm background revalidation
     refresh_ahead: bool = True
@@ -822,18 +813,11 @@ class CachePolicy:
     #: ``soft_ttl_fraction × ttl`` is revalidated in the background while
     #: the cached value is still served; must satisfy 0 < f <= 1
     soft_ttl_fraction: float = 0.8
-    #: wall/simulated budget for one background revalidation — short, so
-    #: a sick daemon fails a refresh fast instead of pinning pool workers
-    refresh_deadline_s: float = 5.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.soft_ttl_fraction <= 1.0):
             raise ValueError(
                 f"soft_ttl_fraction must be in (0, 1]: {self.soft_ttl_fraction}"
-            )
-        if self.refresh_deadline_s <= 0:
-            raise ValueError(
-                f"refresh_deadline_s must be positive: {self.refresh_deadline_s}"
             )
 
     def ttl_for(self, source: str) -> float:
@@ -858,16 +842,6 @@ class CachePolicy:
             return None
         base = self.ttl_for(source) if ttl is None else float(ttl)
         return self.soft_ttl_fraction * base
-
-    def deadline_for(self, route: str) -> float:
-        """Per-request deadline budget (seconds) for a named route,
-        capped at :attr:`deadline_max_s`."""
-        budget = float(self.deadlines_s.get(route, self.deadline_default_s))
-        return min(budget, self.deadline_max_s)
-
-    def clamp_deadline(self, budget_s: float) -> float:
-        """Cap a client-requested deadline at :attr:`deadline_max_s`."""
-        return min(float(budget_s), self.deadline_max_s)
 
     def as_dict(self) -> Dict[str, float]:
         """All per-source TTLs as a plain dict (for reporting)."""

@@ -13,13 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.auth import Directory, Viewer
-from repro.faults import (
-    AdmissionConfig,
-    BreakerConfig,
-    Deadline,
-    FaultPlan,
-    RetryPolicy,
-)
+from repro.faults import AdmissionConfig, BreakerConfig, FaultPlan, RetryPolicy
 from repro.news.api import NewsAPI, seed_news
 from repro.slurm.cluster import SlurmCluster
 from repro.slurm.workload import WorkloadConfig, populated_cluster
@@ -91,23 +85,21 @@ class Dashboard:
         name: str,
         viewer: Viewer,
         params: Optional[Dict[str, Any]] = None,
-        deadline: Optional[Deadline] = None,
     ) -> RouteResponse:
         """Invoke one component route (with failure isolation)."""
-        return self.registry.call(self.ctx, name, viewer, params, deadline=deadline)
+        return self.registry.call(self.ctx, name, viewer, params)
 
     def get(
         self,
         path: str,
         viewer: Viewer,
         params: Optional[Dict[str, Any]] = None,
-        deadline: Optional[Deadline] = None,
     ) -> RouteResponse:
         """Invoke by URL path (what the HTTP layer does)."""
         route = self.registry.by_path(path)
         if route is None:
             return RouteResponse(ok=False, error=f"no route at {path!r}", status=404)
-        return self.registry.call(self.ctx, route.name, viewer, params, deadline=deadline)
+        return self.registry.call(self.ctx, route.name, viewer, params)
 
     # -- page rendering ---------------------------------------------------------
 

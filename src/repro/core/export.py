@@ -37,8 +37,8 @@ def usage_rows(ctx: DashboardContext, viewer: Viewer, account: str) -> List[Usag
 
     The rollup read goes through the context's resilient fetch path
     (:meth:`~repro.core.routes.DashboardContext.account_usage`), so an
-    export spends the request's deadline budget like any other route
-    instead of silently bypassing it.
+    export shares the cache, retries, breaker and serve-stale of every
+    other route instead of silently bypassing them.
     """
     ctx.policy.require_export_access(viewer, account)
     return ctx.account_usage(account)

@@ -2,10 +2,10 @@
 the route handlers.
 
 The wire format only carries strings; :func:`coerce_params` types them
-conservatively (ints, finite floats, booleans, else strings), and
-:func:`positive_int_param`, :func:`number_param` and :func:`flag_param`
-validate the ``?limit=N``, ``?start=<timestamp>`` and ``?desc=true``
-shapes.
+conservatively (ints, finite floats, booleans, else strings; free text
+stays exactly as sent), and :func:`positive_int_param`,
+:func:`number_param` and :func:`flag_param` validate the ``?limit=N``,
+``?start=<timestamp>`` and ``?desc=true`` shapes.
 Validation failures raise :class:`ParamError`, which the route
 dispatcher and the HTTP server both render as a structured 400 — a bad
 query string must never surface as a 500.
@@ -28,6 +28,9 @@ class ParamError(ValueError):
 
 def coerce_params(pairs) -> Dict[str, Any]:
     """Type query-string values: ints, finite floats, booleans, else strings.
+
+    ``search``, the one free-text param, skips typing and stays exactly
+    as sent.
 
     Values like ``nan``, ``inf`` or ``1e309`` *parse* as floats but must
     stay strings: a NaN/Infinity that reaches a response payload makes
@@ -52,6 +55,10 @@ def coerce_params(pairs) -> Dict[str, Any]:
             raise ParamError(f"duplicate query param {key!r}")
         if value == "":
             raise ParamError(f"query param {key!r} has a blank value")
+        if key == "search":
+            # the pages match it as text: ``?search=007`` is not the int 7
+            out[key] = value
+            continue
         if value.lower() in ("true", "false"):
             out[key] = value.lower() == "true"
             continue
@@ -105,12 +112,13 @@ def positive_int_param(
 
 def number_param(params: Dict[str, Any], name: str) -> Optional[float]:
     """The value of a numeric query param, such as an epoch timestamp,
-    or None when absent.
+    as a float, or None when absent.
 
-    An int or float passes through unchanged, so cache keys built from
-    it keep their spelling.  A boolean (``?start=true``) or a string
-    ``coerce_params`` could not read as a finite number is rejected with
-    a :class:`ParamError`, never compared against a float downstream.
+    An int comes back as the equal float, so ``?start=0`` and
+    ``?start=0.0`` build one cache key.  A boolean (``?start=true``) or
+    a string ``coerce_params`` could not read as a finite number is
+    rejected with a :class:`ParamError`, never compared against a float
+    downstream.
     """
     value = params.get(name)
     if value is None:
@@ -119,7 +127,7 @@ def number_param(params: Dict[str, Any], name: str) -> Optional[float]:
         raise ParamError(
             f"query param {name!r} must be a number, got {value!r}"
         )
-    return value
+    return float(value)
 
 
 def flag_param(params: Dict[str, Any], name: str) -> bool:

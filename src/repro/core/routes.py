@@ -30,8 +30,6 @@ from repro.faults import (
     AdmissionController,
     BreakerConfig,
     DaemonError,
-    Deadline,
-    DeadlineExceededError,
     FetchOutcome,
     ResilientFetcher,
     RetryPolicy,
@@ -94,7 +92,7 @@ class RouteResponse:
     degraded: bool = False
     #: age (s) of the oldest stale entry that fed this response
     stale_age_s: Optional[float] = None
-    #: seconds after which the client should retry (503/504 only);
+    #: seconds after which the client should retry (503 only);
     #: the HTTP layer turns this into a real ``Retry-After`` header
     retry_after_s: Optional[float] = None
     #: validator derived from the cache-entry generations behind this
@@ -210,20 +208,12 @@ def _retry_after_of(exc: BaseException) -> Optional[float]:
 
 
 def _error_of(exc: Exception) -> Tuple[int, str, bool, Optional[float]]:
-    """Map a handler failure to ``(status, error, degraded, retry_after_s)``.
-
-    Order matters: :class:`DeadlineExceededError` subclasses
-    :class:`DaemonError`.
-    """
+    """Map a handler failure to ``(status, error, degraded, retry_after_s)``."""
     if isinstance(exc, PermissionDenied):
         return 403, str(exc), False, None
     if isinstance(exc, ParamError):
         # a bad query parameter is the client's mistake, not a crash
         return 400, str(exc), False, None
-    if isinstance(exc, DeadlineExceededError):
-        # the request's time budget ran out mid-fetch: a structured
-        # 504 with a retry hint, instead of burning more backoff
-        return 504, str(exc), True, exc.retry_after_s
     if isinstance(exc, DaemonError):
         # backend down, retries exhausted, nothing stale to serve —
         # a structured 503, never a traceback (§2.4 resilience)
@@ -284,15 +274,11 @@ class RouteRegistry:
         name: str,
         viewer: Viewer,
         params: Optional[Dict[str, Any]] = None,
-        deadline: Optional[Deadline] = None,
     ) -> RouteResponse:
         """Invoke one route with failure isolation (§2.4 Modularity).
 
-        Every call carries a :class:`~repro.faults.Deadline` — the
-        per-route default from :meth:`CachePolicy.deadline_for` unless
-        the caller (e.g. the HTTP layer honouring an
-        ``X-Request-Deadline-Ms`` header) supplies one — and passes the
-        admission controller's tier gate before any work runs.
+        Every call passes the admission controller's tier gate before
+        any work runs.
         """
         params = params or {}
         route = self._by_name.get(name)
@@ -322,11 +308,8 @@ class RouteRegistry:
                     span.attrs["admission"] = decision.reason
                 ctx.obs.record_route(name, response.status, 0.0, ok=False)
                 return response
-        if deadline is None:
-            deadline = Deadline(ctx.cache_policy.deadline_for(name))
         t0 = time.perf_counter()
         scope = ctx.begin_fetch_scope()
-        ctx.begin_deadline(deadline)
         try:
             with ctx.obs.tracer.span(
                 f"route:{name}", kind="route", attrs={"viewer": viewer.username}
@@ -335,14 +318,11 @@ class RouteRegistry:
                 span.attrs["status"] = response.status
                 if response.degraded:
                     span.attrs["degraded"] = True
-                if response.status == 504:
-                    span.attrs["deadline_exceeded"] = True
                 if admission is not None:
                     tier = admission.tier
                     if tier != "normal":
                         span.attrs["tier"] = tier
         finally:
-            ctx.end_deadline()
             ctx.end_fetch_scope()
         if (
             response.ok
@@ -405,7 +385,6 @@ class DashboardContext:
         use_server_cache: bool = True,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerConfig] = None,
-        resilience_seed: int = 0,
         slow_request_ms: float = 250.0,
         max_traces: int = 100,
         admission: Optional[AdmissionConfig] = None,
@@ -434,7 +413,6 @@ class DashboardContext:
             policy=self.cache_policy,
             retry=retry,
             breaker=breaker,
-            seed=resilience_seed,
         )
         self.fetcher.tracer = self.obs.tracer
         # the brownout feedback loop: watches the fetcher's breakers plus
@@ -457,7 +435,6 @@ class DashboardContext:
         self.cache.refresh_gate = lambda: self.admission.tier == "normal"
         cluster.daemons.attach_metrics(self.obs.registry)
         self._scope_local = threading.local()
-        self._deadline_local = threading.local()
         self.sessions = SessionManager(cluster)
         self.apps = AppRegistry()
         self.logs = LogStore()
@@ -493,30 +470,6 @@ class DashboardContext:
         """Close the innermost fetch scope (no-op when none is open)."""
         stack = self._scope_stack()
         return stack.pop() if stack else None
-
-    # -- deadlines (per-request time budgets) ----------------------------------
-
-    def _deadline_stack(self) -> List[Deadline]:
-        stack = getattr(self._deadline_local, "stack", None)
-        if stack is None:
-            stack = self._deadline_local.stack = []
-        return stack
-
-    def begin_deadline(self, deadline: Deadline) -> Deadline:
-        """Open a per-request deadline; :meth:`_cached` threads it down
-        to the resilient fetch path for the duration of the request."""
-        self._deadline_stack().append(deadline)
-        return deadline
-
-    def end_deadline(self) -> Optional[Deadline]:
-        """Close the innermost deadline (no-op when none is open)."""
-        stack = self._deadline_stack()
-        return stack.pop() if stack else None
-
-    def current_deadline(self) -> Optional[Deadline]:
-        """The deadline of the request this thread is serving, if any."""
-        stack = self._deadline_stack()
-        return stack[-1] if stack else None
 
     # -- observability -------------------------------------------------------
 
@@ -562,9 +515,7 @@ class DashboardContext:
             f"cache:{source}", kind="cache", attrs={"key": key}
         ) as span:
             try:
-                outcome = self.fetcher.fetch(
-                    source, key, compute, deadline=self.current_deadline()
-                )
+                outcome = self.fetcher.fetch(source, key, compute)
             except Exception as exc:
                 span.attrs["error"] = f"{type(exc).__name__}: {exc}"
                 raise
@@ -653,9 +604,8 @@ class DashboardContext:
 
         Priced as an ``sacct`` query against slurmdbd through the
         resilient fetch path, so exports share the cache, retry, breaker
-        and **deadline** machinery instead of bypassing it — a tight
-        ``X-Request-Deadline-Ms`` now yields the same structured 504
-        here as on any widget route.
+        and serve-stale machinery instead of bypassing it — an outage
+        yields the same structured 503 here as on any widget route.
         """
 
         def compute() -> List[Any]:

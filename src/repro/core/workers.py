@@ -9,8 +9,7 @@
   :meth:`WorkerPool.scatter_gather` / :meth:`WorkerPool.scatter_stream`,
   which run every slot on the calling (request) thread, in order, with
   each slot's failure isolated from its siblings.  The request's fetch
-  scopes, deadline and open span are therefore already in place for
-  every slot.
+  scopes and open span are therefore already in place for every slot.
 
 The pool's work is visible on ``/metrics``
 (``repro_worker_pool_active``, ``repro_worker_pool_queue_depth``,

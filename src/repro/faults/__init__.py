@@ -6,9 +6,8 @@ against the simulated backends; :class:`ResilientFetcher` gives the
 dashboard's fetch path timeouts, retries, circuit breakers, and
 serve-stale fallback so injected chaos degrades responses instead of
 crashing them.  :mod:`repro.faults.admission` layers overload control
-on top: per-request :class:`Deadline` budgets and the brownout
-:class:`AdmissionController` that sheds load before a brownout becomes
-a blackout.
+on top: the brownout :class:`AdmissionController` that sheds load
+before a brownout becomes a blackout.
 """
 
 from .admission import (
@@ -16,14 +15,12 @@ from .admission import (
     AdmissionConfig,
     AdmissionController,
     AdmissionDecision,
-    Deadline,
 )
 from .errors import (
     CircuitOpenError,
     DaemonError,
     DaemonTimeoutError,
     DaemonUnavailableError,
-    DeadlineExceededError,
     FaultConfigError,
     SourceUnavailableError,
 )
@@ -48,8 +45,6 @@ __all__ = [
     "DaemonError",
     "DaemonTimeoutError",
     "DaemonUnavailableError",
-    "Deadline",
-    "DeadlineExceededError",
     "FaultConfigError",
     "FaultPlan",
     "FaultWindow",

@@ -1,36 +1,23 @@
-"""Admission control: deadlines and brownout load shedding.
+"""Admission control: brownout load shedding.
 
-PRs 1–3 made individual fetches resilient (retry/breaker/serve-stale)
-and collapsed stampedes (single-flight), but nothing bounded *total
-time* per request — retries burned backoff budget long after the client
-had given up, and a sick backend kept being queried at full rate.  This
-module adds two admission layers:
-
-1. :class:`Deadline` — a per-request time budget threaded from the HTTP
-   layer down to the retry loop, so work stops the moment the remaining
-   budget cannot cover another attempt (structured 504, not a hang);
-2. :class:`AdmissionController` — a feedback loop over breaker states
-   and route p95 latency that steps the dashboard through
-   ``normal → brownout → shed`` tiers: brownout stretches TTLs and
-   disables expensive pages, shed rejects everything non-essential
-   while ``/healthz``, ``/metrics`` and My Jobs stay alive.
+The resilient fetch path bounds each fetch (per-source timeout, retries,
+circuit breaker, serve-stale), but on its own it keeps querying a sick
+backend at full rate.  :class:`AdmissionController` is a feedback loop
+over breaker states and route p95 latency that steps the dashboard
+through ``normal → brownout → shed`` tiers: brownout stretches TTLs and
+disables expensive pages, shed rejects everything non-essential while
+``/healthz``, ``/metrics`` and My Jobs stay alive.
 
 Concurrency against a daemon is not capped here: single-flight keeps
 one compute per cache key, and refresh-ahead runs on the bounded
 worker pool.
-
-Sim-clock note: daemon latency in this reproduction is *simulated* (the
-load model returns it; nothing wall-sleeps), so a deadline is an
-explicit **charge model** — wall time actually spent plus every
-simulated cost (RPC latency, backoff delay) charged against the budget.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.obs.metrics import Histogram, MetricsRegistry, quantile_from_buckets
 
@@ -44,61 +31,7 @@ TIERS: Tuple[str, ...] = ("normal", "brownout", "shed")
 
 #: every value the ``reason`` label of ``repro_admission_rejected_total``
 #: can take (pre-seeded to zero so the family always renders)
-REJECT_REASONS: Tuple[str, ...] = ("deadline", "brownout", "shed")
-
-
-class Deadline:
-    """A per-request time budget, spent by wall clock *and* explicit charges.
-
-    ``elapsed()`` is the wall time since construction plus everything
-    charged via :meth:`charge` — simulated RPC latency and backoff
-    delays, which consume the request's budget in the model even though
-    no thread wall-sleeps them.  One instance belongs to one request
-    (created in :meth:`~repro.core.routes.RouteRegistry.call`) and every
-    section of that request spends it, on the request's own thread;
-    charges still apply under a lock, so a deadline handed to another
-    thread stays exact.
-    """
-
-    __slots__ = ("budget_s", "_started", "_charged", "_now", "_charge_lock")
-
-    def __init__(self, budget_s: float, *,
-                 now: Callable[[], float] = time.monotonic):
-        if budget_s <= 0:
-            raise ValueError(f"deadline budget must be > 0: {budget_s}")
-        self.budget_s = float(budget_s)
-        self._now = now
-        self._started = now()
-        self._charged = 0.0
-        self._charge_lock = threading.Lock()
-
-    def charge(self, seconds: float) -> None:
-        """Spend ``seconds`` of simulated cost against the budget."""
-        if seconds > 0:
-            with self._charge_lock:
-                self._charged += seconds
-
-    def elapsed(self) -> float:
-        """Wall time since construction plus every charged cost."""
-        return (self._now() - self._started) + self._charged
-
-    def remaining(self) -> float:
-        """Budget left (may be negative once exhausted)."""
-        return self.budget_s - self.elapsed()
-
-    def expired(self) -> bool:
-        """True once the budget is spent."""
-        return self.remaining() <= 0.0
-
-    def can_afford(self, cost_s: float) -> bool:
-        """True if ``cost_s`` more seconds still fit in the budget."""
-        return self.remaining() >= cost_s
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Deadline(budget_s={self.budget_s}, "
-            f"elapsed_s={self.elapsed():.3f})"
-        )
+REJECT_REASONS: Tuple[str, ...] = ("brownout", "shed")
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ class DaemonUnavailableError(DaemonError):
 
 
 class DaemonTimeoutError(DaemonError):
-    """The daemon answered, but slower than the caller's budget allows."""
+    """The daemon answered, but slower than the source's timeout allows."""
 
     def __init__(self, daemon: str, latency_s: float, timeout_s: float):
         self.latency_s = latency_s
@@ -75,30 +75,6 @@ class CircuitOpenError(DaemonError):
             daemon,
             f"circuit breaker for {daemon} is open "
             f"(retry in {retry_after_s:.0f}s)",
-        )
-
-
-class DeadlineExceededError(DaemonError):
-    """The request's time budget ran out before an attempt could finish —
-    the retry loop stops scheduling work the client would never see.
-    The route layer maps this to a structured HTTP 504.
-
-    Subclasses :class:`DaemonError` so the cache's serve-stale rescue
-    applies — an out-of-budget request still prefers stale data over an
-    error — but the fetch path re-raises it *unwrapped*, so it keeps its
-    504 instead of the generic 503.  It is never counted against the
-    backend's circuit breaker: the backend did nothing wrong.
-    """
-
-    def __init__(self, daemon: str, budget_s: float, elapsed_s: float,
-                 retry_after_s: float = 1.0):
-        self.budget_s = budget_s
-        self.elapsed_s = elapsed_s
-        self.retry_after_s = retry_after_s
-        super().__init__(
-            daemon,
-            f"deadline of {budget_s:.3f}s exhausted after {elapsed_s:.3f}s "
-            f"waiting on {daemon}",
         )
 
 

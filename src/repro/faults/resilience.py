@@ -6,8 +6,7 @@ wraps every data-source fetch with:
 
 1. a per-source timeout (from :class:`~repro.core.caching.CachePolicy`),
    measured against the daemon load model's simulated RPC latency;
-2. bounded retries with exponential backoff and deterministic jitter
-   (seeded via :class:`~repro.sim.rng.RandomStreams`);
+2. up to :attr:`RetryPolicy.max_attempts` back-to-back attempts;
 3. a per-daemon circuit breaker (closed → open → half-open) that fails
    fast during an outage instead of hammering a struggling daemon;
 4. serve-stale fallback: when every attempt fails, the TTL cache's
@@ -21,19 +20,16 @@ propagate untouched.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.obs import NULL_TRACER
 from repro.sim.clock import SimClock
-from repro.sim.rng import RandomStreams
 
-from .admission import Deadline
 from .errors import (
     CircuitOpenError,
     DaemonError,
     DaemonTimeoutError,
-    DeadlineExceededError,
     SourceUnavailableError,
 )
 
@@ -68,41 +64,18 @@ def service_for_source(source: str) -> str:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded exponential backoff with deterministic jitter.
+    """How many times a request's fetch tries a failing source.
 
-    The jittered delay for attempt ``i`` (0-based, counting failures) is
-
-        min(base * multiplier**i, max_delay) * (1 ± jitter)
-
-    with the ± drawn from a named :class:`RandomStreams` stream, so the
-    schedule replays exactly for a given seed.
+    The attempts run back to back: daemon latency is simulated and
+    request handling never advances the sim clock, so a delay between
+    attempts would change nothing the daemons see.
     """
 
     max_attempts: int = 3
-    base_delay_s: float = 0.5
-    multiplier: float = 2.0
-    max_delay_s: float = 10.0
-    jitter: float = 0.25
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1): {self.jitter}")
-
-    def delay(self, attempt: int, rng) -> float:
-        """Jittered delay (seconds) before retry number ``attempt``."""
-        raw = min(
-            self.base_delay_s * self.multiplier**attempt, self.max_delay_s
-        )
-        if self.jitter == 0.0:
-            return raw
-        spread = 1.0 + self.jitter * (2.0 * float(rng.random()) - 1.0)
-        return raw * spread
-
-    def schedule(self, rng) -> List[float]:
-        """The whole backoff schedule: one delay per retry."""
-        return [self.delay(i, rng) for i in range(self.max_attempts - 1)]
 
 
 @dataclass(frozen=True)
@@ -232,7 +205,6 @@ class ResilientFetcher:
         policy: "CachePolicy",
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerConfig] = None,
-        seed: int = 0,
     ):
         self.cache = cache
         self.daemons = daemons
@@ -242,14 +214,8 @@ class ResilientFetcher:
         #: brownout controller, wired in by DashboardContext (None when the
         #: fetcher is used standalone — TTLs then stay un-stretched)
         self.controller: Optional["AdmissionController"] = None
-        self.rng = RandomStreams(seed=seed)
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()
-        #: every backoff delay slept this run, in order (determinism tests)
-        self.backoff_log: List[float] = []
-        #: hook invoked with each backoff delay; default is a no-op because
-        #: request handling does not advance simulated time
-        self.sleep: Callable[[float], None] = lambda _s: None
         #: span recorder; the dashboard context swaps in its real Tracer
         self.tracer = NULL_TRACER
         # retry/breaker activity as first-class metrics on the cache's
@@ -263,11 +229,6 @@ class ResilientFetcher:
             "repro_breaker_transitions_total",
             "Circuit-breaker state transitions by service and new state.",
             ("service", "to"),
-        )
-        self._rejected_metric = cache.metrics.counter(
-            "repro_admission_rejected_total",
-            "Requests rejected by the admission layer, by reason.",
-            ("reason",),
         )
 
     # -- breakers -----------------------------------------------------------
@@ -300,7 +261,6 @@ class ResilientFetcher:
         source: str,
         key: str,
         compute: Callable[[], Any],
-        deadline: Optional[Deadline] = None,
     ) -> FetchOutcome:
         """Fetch ``source:key`` through the cache with full resilience.
 
@@ -316,19 +276,11 @@ class ResilientFetcher:
         degraded.  With no stale copy, :class:`SourceUnavailableError`
         propagates (to the leader and every follower alike).
 
-        A ``deadline`` bounds total spend: the retry loop stops
-        scheduling attempts once the remaining budget cannot cover
-        another timeout + backoff, and followers never wait longer than
-        the budget allows.  :class:`DeadlineExceededError` still prefers
-        stale data, but with no stale copy it propagates *unwrapped* so
-        the route layer can map it to 504.
-
         Hits past the source's soft TTL additionally arm **refresh-ahead**
         (when the cache has a worker pool wired): the hit is served
         instantly and a background revalidation — same breaker
-        accounting, but its own short
-        :attr:`CachePolicy.refresh_deadline_s` budget — rewrites the
-        entry off-thread before it hard-expires.
+        accounting, but a single attempt — rewrites the entry off-thread
+        before it hard-expires.
         """
         service = service_for_source(source)
         full_key = f"{source}:{key}"
@@ -340,7 +292,7 @@ class ResilientFetcher:
 
         def resilient_compute() -> Any:
             return self._compute_with_retry(
-                source, service, compute, attempts, deadline
+                source, service, compute, attempts, self.retry.max_attempts
             )
 
         # soft TTL from the *base* TTL: brownout-stretched entries get
@@ -350,32 +302,26 @@ class ResilientFetcher:
         def refresh_compute() -> Any:
             # background revalidation: fresh attempt counter (breaker
             # failures count exactly once, never against the foreground
-            # request) and a short dedicated budget so a sick daemon
-            # fails the refresh fast instead of pinning a pool worker
+            # request) and a single attempt, so a sick daemon fails the
+            # refresh fast instead of pinning a pool worker
             bg_attempts: Dict[str, Any] = {"n": 0}
-            bg_deadline = Deadline(self.policy.refresh_deadline_s)
             with self.tracer.span(
                 f"refresh:{source}", kind="refresh", attrs={"key": key}
             ):
                 return self._compute_with_retry(
-                    source, service, compute, bg_attempts, bg_deadline
+                    source, service, compute, bg_attempts, 1
                 )
 
-        follower_timeout = self.policy.timeout_for(source)
-        if deadline is not None:
-            follower_timeout = max(0.0, min(follower_timeout, deadline.remaining()))
         try:
             result = self.cache.lookup(
                 full_key,
                 resilient_compute,
                 ttl=ttl,
                 stale_on=(DaemonError,),
-                follower_timeout_s=follower_timeout,
+                follower_timeout_s=self.policy.timeout_for(source),
                 soft_ttl=soft_ttl,
                 refresh=refresh_compute,
             )
-        except DeadlineExceededError:
-            raise  # an exhausted budget keeps its own status code
         except DaemonError as exc:
             raise SourceUnavailableError(source, service, exc) from exc
         if result.stale_age_s is None:
@@ -404,19 +350,13 @@ class ResilientFetcher:
         service: str,
         compute: Callable[[], Any],
         attempts: Dict[str, Any],
-        deadline: Optional[Deadline] = None,
+        max_attempts: int,
     ) -> Any:
-        if deadline is not None and deadline.expired():
-            self._count_rejected("deadline")
-            raise DeadlineExceededError(
-                service, deadline.budget_s, deadline.elapsed()
-            )
         breaker = self.breaker_for(service)
         timeout_s = self.policy.timeout_for(source)
         plan = getattr(self.daemons, "faults", None)
-        rng = self.rng.stream(f"backoff:{service}")
         last_exc: Optional[DaemonError] = None
-        for attempt in range(self.retry.max_attempts):
+        for attempt in range(max_attempts):
             attempts["n"] = attempt + 1
             with self.tracer.span(
                 f"daemon:{service}", kind="daemon",
@@ -430,10 +370,6 @@ class ResilientFetcher:
                         plan.check(service, self.cache.clock.now())
                     with self.daemons.measure() as probe:
                         value = compute()
-                    # simulated RPC latency spends the request's budget,
-                    # whether or not the attempt beat its timeout
-                    if deadline is not None:
-                        deadline.charge(probe.max_latency_s)
                     if probe.max_latency_s > timeout_s:
                         raise DaemonTimeoutError(
                             service, probe.max_latency_s, timeout_s
@@ -448,24 +384,8 @@ class ResilientFetcher:
                     attempts["error"] = str(exc)
                     span.attrs["error"] = str(exc)
                     breaker.record_failure()
-                    if attempt + 1 < self.retry.max_attempts:
-                        delay = self.retry.delay(attempt, rng)
-                        if deadline is not None and not deadline.can_afford(
-                            delay + timeout_s
-                        ):
-                            # the remaining budget cannot cover the backoff
-                            # plus another full attempt: stop here, don't
-                            # burn backoff the client would never see
-                            span.attrs["deadline_exceeded"] = True
-                            self._count_rejected("deadline")
-                            raise DeadlineExceededError(
-                                service, deadline.budget_s, deadline.elapsed()
-                            ) from exc
-                        self.backoff_log.append(delay)
+                    if attempt + 1 < max_attempts:
                         self._retries_metric.inc(service=service)
-                        if deadline is not None:
-                            deadline.charge(delay)
-                        self.sleep(delay)
                     continue
                 span.attrs["rpcs"] = probe.rpcs
                 span.attrs["sim_latency_s"] = round(probe.max_latency_s, 6)
@@ -473,6 +393,3 @@ class ResilientFetcher:
             return value
         assert last_exc is not None
         raise last_exc
-
-    def _count_rejected(self, reason: str) -> None:
-        self._rejected_metric.inc(reason=reason)

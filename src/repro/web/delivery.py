@@ -119,9 +119,9 @@ def content_disposition(filename: str) -> str:
 class RetryJitter:
     """Deterministic seeded jitter for ``Retry-After`` hints.
 
-    Every rejection or outage (503/504) used to carry the *same*
-    retry budget, so every rejected client slept the same interval and
-    re-stampeded the recovering daemon in lockstep.  Each call draws the
+    Without it every rejection or outage (503) would carry the *same*
+    retry budget, so every rejected client would sleep the same interval
+    and re-stampede the recovering daemon in lockstep.  Each call draws the
     next value from one seeded :class:`~repro.sim.rng.RandomStreams`
     stream and spreads the hint across ``[hint, hint * (1 + spread))`` —
     concurrent rejections get *different* hints, and a run with the same

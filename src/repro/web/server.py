@@ -40,7 +40,6 @@ from repro.core.params import (  # noqa: F401  (re-exports)
     coerce_params,
     positive_int_param,
 )
-from repro.faults import Deadline
 from repro.web.delivery import (
     GZIP_MIN_BYTES,
     RetryJitter,
@@ -115,29 +114,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._endpoint_kind(urlparse(self.path).path), status
         )
 
-    def _deadline_from_headers(self) -> Tuple[Optional[Deadline], Optional[str]]:
-        """Parse ``X-Request-Deadline-Ms`` into a :class:`Deadline`.
-
-        Returns ``(deadline, error)``; a malformed or non-positive value
-        is the client's mistake, reported as a structured 400 rather than
-        silently ignored.  The budget is capped by the cache policy so a
-        client cannot demand an unbounded wait.
-        """
-        raw = self.headers.get("X-Request-Deadline-Ms")
-        if raw is None:
-            return None, None
-        try:
-            ms = float(raw.strip())
-        except ValueError:
-            ms = math.nan
-        if not math.isfinite(ms) or ms <= 0:
-            return None, (
-                f"X-Request-Deadline-Ms must be a positive number of"
-                f" milliseconds, got {raw!r}"
-            )
-        policy = self.dashboard.ctx.cache_policy
-        return Deadline(policy.clamp_deadline(ms / 1000.0)), None
-
     def _handle_get(self) -> None:
         parsed = urlparse(self.path)
         try:
@@ -184,13 +160,6 @@ class _Handler(BaseHTTPRequestHandler):
             username=username,
             is_admin=self.headers.get("X-Admin", "") == "1",
         )
-        # the deadline parses *before* any dispatch branch — the export
-        # path used to return first, silently ignoring the header and
-        # accepting malformed values
-        deadline, deadline_error = self._deadline_from_headers()
-        if deadline_error is not None:
-            self._send_error(400, deadline_error)
-            return
         if parsed.path == "/":
             self._stream_html(self.dashboard.stream_homepage(viewer))
             return
@@ -205,7 +174,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "account_usage_export",
                 viewer,
                 {"account": export.group("account"), "format": export.group("fmt")},
-                deadline=deadline,
             )
             if not response.ok:
                 self._send_route_response(response, request_key=request_key)
@@ -218,7 +186,7 @@ class _Handler(BaseHTTPRequestHandler):
                 request_key=request_key,
             )
             return
-        response = self.dashboard.get(parsed.path, viewer, params, deadline=deadline)
+        response = self.dashboard.get(parsed.path, viewer, params)
         self._send_route_response(response, request_key=request_key)
 
     # -- conditional GET -----------------------------------------------------
@@ -278,7 +246,7 @@ class _Handler(BaseHTTPRequestHandler):
                              request_key: Optional[str] = None) -> None:
         """Send a :class:`RouteResponse`, surfacing backpressure hints.
 
-        Rejections and outages (503/504) carry a retry budget; clients
+        Rejections and outages (503) carry a retry budget; clients
         honouring ``Retry-After`` spread their retries instead of piling
         onto an overloaded daemon.  Responses computed purely from fresh
         cache entries additionally carry an ETag.

@@ -110,6 +110,19 @@ class TestMyJobs:
         data = page(dash, "my_jobs", alice_v, {"search": "crashy"})
         assert [j["name"] for j in data["jobs"]] == ["crashy"]
 
+    def test_numeric_looking_search_is_matched_as_sent(self, dash, alice_v):
+        # off the wire, "01" must reach the page as text, not as the int 1
+        params = coerce_params([("search", "01")])
+        data = page(dash, "my_jobs", alice_v, params)
+        assert sorted(j["job_id"] for j in data["jobs"]) == ["1001", "1010"]
+
+    def test_equal_time_bounds_share_one_sacct_entry(self, dash, alice_v):
+        dbd = dash.ctx.cluster.daemons.dbd
+        assert dash.call("my_jobs", alice_v, coerce_params([("start", "0")])).ok
+        rpcs = dbd.total_rpcs
+        assert dash.call("my_jobs", alice_v, coerce_params([("start", "0.0")])).ok
+        assert dbd.total_rpcs == rpcs
+
     def test_sorted_newest_first(self, dash, alice_v):
         data = page(dash, "my_jobs", alice_v)
         submits = [j["submit_time"] for j in data["jobs"]]

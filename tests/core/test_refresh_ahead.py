@@ -339,5 +339,3 @@ class TestCachePolicySoftTTL:
             CachePolicy(soft_ttl_fraction=0.0)
         with pytest.raises(ValueError):
             CachePolicy(soft_ttl_fraction=1.5)
-        with pytest.raises(ValueError):
-            CachePolicy(refresh_deadline_s=0.0)

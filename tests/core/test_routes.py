@@ -5,12 +5,7 @@ import pytest
 from repro.auth import PermissionDenied, Viewer
 from repro.core.params import ParamError
 from repro.core.routes import ApiRoute, RouteRegistry
-from repro.faults import (
-    CircuitOpenError,
-    DaemonError,
-    DeadlineExceededError,
-    SourceUnavailableError,
-)
+from repro.faults import CircuitOpenError, DaemonError, SourceUnavailableError
 
 
 def make_route(name="w", path=None, handler=None, feature="W"):
@@ -59,7 +54,6 @@ class TestRegistry:
 
 #: every handler failure the dispatcher maps, as
 #: (exception, status, error text, degraded, retry_after_s)
-_DEADLINE = DeadlineExceededError("slurmctld", 1.0, 1.5, retry_after_s=2.0)
 _UNAVAILABLE = SourceUnavailableError(
     "squeue", "slurmctld", CircuitOpenError("slurmctld", retry_after_s=7.0)
 )
@@ -68,8 +62,6 @@ DISPATCH_MAPPINGS = [
                  id="403-permission-denied"),
     pytest.param(ParamError("bad limit"), 400, "bad limit", False, None,
                  id="400-param-error"),
-    pytest.param(_DEADLINE, 504, str(_DEADLINE), True, 2.0,
-                 id="504-deadline"),
     pytest.param(_UNAVAILABLE, 503, str(_UNAVAILABLE), True, 7.0,
                  id="503-chained-hint"),
     pytest.param(DaemonError("slurmctld", "down"), 503, "down", True, None,

@@ -1,79 +1,20 @@
-"""Retry backoff: exponential growth, bounded, deterministically jittered."""
+"""Retry policy: a request's fetch makes up to ``max_attempts`` attempts,
+a background refresh exactly one."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.faults import FaultPlan, RetryPolicy
-from repro.sim.rng import RandomStreams
 
 
 class TestRetryPolicy:
     def test_validates_config(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
-
-    def test_unjittered_schedule_is_exponential_and_capped(self):
-        policy = RetryPolicy(
-            max_attempts=6, base_delay_s=1.0, multiplier=2.0,
-            max_delay_s=5.0, jitter=0.0,
-        )
-        rng = RandomStreams(seed=0).stream("backoff")
-        assert policy.schedule(rng) == [1.0, 2.0, 4.0, 5.0, 5.0]
-
-    def test_jitter_stays_within_band(self):
-        policy = RetryPolicy(
-            max_attempts=50, base_delay_s=1.0, multiplier=1.0,
-            max_delay_s=1.0, jitter=0.25,
-        )
-        rng = RandomStreams(seed=3).stream("backoff")
-        delays = policy.schedule(rng)
-        assert all(0.75 <= d <= 1.25 for d in delays)
-        assert len(set(delays)) > 1  # it actually jitters
-
-    def test_same_seed_same_schedule(self):
-        policy = RetryPolicy(max_attempts=8, jitter=0.25)
-        a = policy.schedule(RandomStreams(seed=42).stream("backoff:slurmctld"))
-        b = policy.schedule(RandomStreams(seed=42).stream("backoff:slurmctld"))
-        assert a == b
-
-    def test_different_seeds_differ(self):
-        policy = RetryPolicy(max_attempts=8, jitter=0.25)
-        a = policy.schedule(RandomStreams(seed=1).stream("backoff"))
-        b = policy.schedule(RandomStreams(seed=2).stream("backoff"))
-        assert a != b
 
 
 class TestFetcherBackoffDeterminism:
-    """Two identical dashboards under identical chaos sleep identically —
-    the sim-clock/seed contract that makes chaos runs replayable."""
-
-    def _degraded_run(self):
-        from repro.auth import Directory
-        from repro.core.dashboard import Dashboard
-        from repro.slurm import small_test_cluster
-
-        directory = Directory()
-        directory.add_user("alice")
-        directory.add_account("lab", members=["alice"])
-        dash = Dashboard(small_test_cluster(), directory)
-        plan = FaultPlan(seed=5)
-        plan.schedule_outage("slurmctld", start=0.0)
-        dash.inject_faults(plan)
-        from repro.auth import Viewer
-
-        for _ in range(3):
-            dash.call("recent_jobs", Viewer(username="alice"))
-        return list(dash.ctx.fetcher.backoff_log)
-
-    def test_backoff_log_replays_exactly(self):
-        first = self._degraded_run()
-        second = self._degraded_run()
-        assert first, "outage must have caused retries"
-        assert first == second
-
     def test_retries_are_counted(self):
         from repro.auth import Directory, Viewer
         from repro.core.dashboard import Dashboard
@@ -89,4 +30,37 @@ class TestFetcherBackoffDeterminism:
         dash.call("recent_jobs", Viewer(username="alice"))
         # default policy: 3 attempts -> 2 retries for the one fetch
         assert dash.ctx.cache.stats.retries == 2
-        assert len(dash.ctx.fetcher.backoff_log) == 2
+
+
+class TestRefreshMakesOneAttempt:
+    def test_refresh_against_a_down_daemon_fails_once(self, dash, alice_v):
+        """A background refresh that meets an outage makes one RPC, counts
+        one breaker failure and no retry, and leaves the entry served."""
+        captured = []
+        dash.ctx.cache.refresh_runner = lambda thunk: (captured.append(thunk) or True)
+        warm = dash.call("recent_jobs", alice_v)
+        assert warm.ok
+        # inside the soft window (0.8 x 30 s squeue TTL), before hard expiry
+        dash.clock.advance(25.0)
+        assert dash.call("recent_jobs", alice_v).ok
+        assert len(captured) == 1
+
+        plan = FaultPlan()
+        plan.schedule_outage("slurmctld", start=dash.clock.now())
+        dash.inject_faults(plan)
+        ctld = dash.ctx.cluster.daemons.ctld
+        breaker = dash.ctx.fetcher.breaker_for("slurmctld")
+        registry = dash.ctx.obs.registry
+        entry = dash.ctx.cache.entry("squeue:alice")
+        failed_before = ctld.failed_rpcs
+        failures_before = breaker._consecutive_failures
+        retries_before = registry.total("repro_fetch_retries_total")
+
+        captured[0]()
+
+        assert ctld.failed_rpcs == failed_before + 1
+        assert breaker._consecutive_failures == failures_before + 1
+        assert registry.total("repro_fetch_retries_total") == retries_before
+        assert dash.ctx.cache.entry("squeue:alice") is entry
+        served = dash.call("recent_jobs", alice_v)
+        assert served.ok and not served.degraded

@@ -357,7 +357,7 @@ def test_gzip_decodes_to_the_reference_bytes(reference):
 def test_in_process_dispatch_matches_the_wire(reference, dashboards):
     """``parallel`` replays two fresh dashboards at once, one thread
     each.  A request runs wholly on its caller's thread, so what one
-    request holds (fetch scopes, deadline, open span) must never reach
+    request holds (fetch scopes, open span) must never reach
     a request of the other dashboard."""
     outcomes, requests = reference
     dashes = [world()[0] for _ in range(dashboards)]

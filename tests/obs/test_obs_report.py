@@ -117,7 +117,7 @@ class TestAdmissionSections:
         "repro_brownout_tier 1\n"
         'repro_brownout_transitions_total{to="brownout"} 2\n'
         'repro_brownout_transitions_total{to="normal"} 1\n'
-        'repro_admission_rejected_total{reason="deadline"} 4\n'
+        'repro_admission_rejected_total{reason="brownout"} 4\n'
         'repro_admission_rejected_total{reason="shed"} 3\n'
     )
 
@@ -141,9 +141,12 @@ class TestAdmissionSections:
         rows = obs_report.rejection_table(
             self._by_name(obs_report, self.PAYLOAD)
         )
-        assert rows == {"deadline": 4.0, "brownout": 0.0, "shed": 3.0}
+        assert rows == {"brownout": 4.0, "shed": 3.0}
         out = obs_report.render_report(self.PAYLOAD)
         assert any(l.split() == ["total", "7"] for l in out.splitlines())
+        shed_only = 'repro_admission_rejected_total{reason="shed"} 3\n'
+        rows = obs_report.rejection_table(self._by_name(obs_report, shed_only))
+        assert rows == {"brownout": 0.0, "shed": 3.0}
 
     def test_scrape_cut_anywhere_still_renders(self, obs_report):
         """A scrape may end mid-line; every section must still render."""
@@ -153,7 +156,7 @@ class TestAdmissionSections:
                 assert header in out
         out = obs_report.render_report(self.PAYLOAD[:-20])
         assert "admission tier: brownout (gauge=1)" in out
-        assert any(l.split() == ["deadline", "4"] for l in out.splitlines())
+        assert any(l.split() == ["brownout", "4"] for l in out.splitlines())
 
 
 class TestCli:

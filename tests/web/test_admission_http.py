@@ -1,8 +1,8 @@
 """HTTP surface of the admission layer.
 
-End to end over a real socket: deadline headers become structured 504s,
-backpressure rejections carry ``Retry-After``, HEAD mirrors GET without
-a body, and ``/healthz`` reports the admission tier.
+End to end over a real socket: backpressure rejections carry
+``Retry-After``, HEAD mirrors GET without a body, and ``/healthz``
+reports the admission tier.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from repro.web.server import DashboardServer
 
 @pytest.fixture
 def served():
-    """A function-scoped server over a tiny world with tight budgets
-    (the tests install faults, so nothing is shared between them)."""
+    """A function-scoped server over a tiny world with a tight squeue
+    timeout (the tests install faults, so nothing is shared between them)."""
     dash, directory, _ = build_demo_dashboard(
         duration_hours=0.5,
         seed=11,
@@ -49,60 +49,10 @@ def request(server, path, username=None, headers=None, method="GET"):
         return err.code, err.headers, err.read()
 
 
-def slow_ctld(dash, extra_latency_s=5.0):
-    plan = FaultPlan()
-    plan.schedule_slowdown("slurmctld", extra_latency_s=extra_latency_s)
-    dash.inject_faults(plan)
-
-
 def outage(dash, service="slurmctld"):
     plan = FaultPlan()
     plan.schedule_outage(service, start=dash.clock.now(), end=math.inf)
     dash.inject_faults(plan)
-
-
-class TestDeadlineHeader:
-    def test_tight_deadline_is_a_504_with_retry_after(self, served):
-        server, dash, directory = served
-        user = directory.users()[0].username
-        slow_ctld(dash)
-        status, headers, body = request(
-            server,
-            "/api/v1/widgets/recent_jobs",
-            username=user,
-            headers={"X-Request-Deadline-Ms": "2000"},
-        )
-        assert status == 504
-        payload = json.loads(body)
-        assert payload["ok"] is False and "deadline" in payload["error"]
-        assert payload["status"] == 504
-        assert int(headers["Retry-After"]) >= 1
-
-    @pytest.mark.parametrize("raw", ["soon", "", "-5", "0", "nan", "inf"])
-    def test_malformed_deadline_is_a_structured_400(self, served, raw):
-        server, _, directory = served
-        user = directory.users()[0].username
-        status, _, body = request(
-            server,
-            "/api/v1/widgets/recent_jobs",
-            username=user,
-            headers={"X-Request-Deadline-Ms": raw},
-        )
-        assert status == 400
-        payload = json.loads(body)
-        assert payload["ok"] is False
-        assert "X-Request-Deadline-Ms" in payload["error"]
-
-    def test_generous_deadline_succeeds(self, served):
-        server, _, directory = served
-        user = directory.users()[0].username
-        status, _, body = request(
-            server,
-            "/api/v1/widgets/recent_jobs",
-            username=user,
-            headers={"X-Request-Deadline-Ms": "60000"},
-        )
-        assert status == 200 and json.loads(body)["ok"]
 
 
 class TestMalformedQuery:

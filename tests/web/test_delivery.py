@@ -3,8 +3,8 @@
 End to end over a real socket where possible: an unchanged widget costs
 a 304 with zero render work and zero body bytes, gzip and the streamed
 homepage negotiate and frame their responses as advertised, and the
-wire-layer bugfix sweep (export deadlines, Content-Disposition hygiene,
-blank/duplicate query params) stays fixed.  That every delivery arm
+wire-layer bugfix sweep (Content-Disposition hygiene, blank/duplicate
+query params) stays fixed.  That every delivery arm
 yields the same decoded bytes is checked once, for every route, by
 ``tests/integration/test_same_bytes.py``.
 """
@@ -335,60 +335,6 @@ class TestHeadParity:
         assert headers["Transfer-Encoding"] == "chunked"
         # the widget generator was never advanced: zero render work
         assert route_calls(dash, "system_status") == before
-
-
-# ---------------------------------------------------------------------------
-# bugfix sweep: export deadlines
-
-
-class TestExportDeadline:
-    def _manager_and_account(self, directory):
-        manager = next(
-            a.managers[0] for a in directory.accounts() if a.managers
-        )
-        account = next(
-            a.name for a in directory.accounts() if manager in a.managers
-        )
-        return manager, account
-
-    @pytest.mark.parametrize("raw", ["soon", "", "-5", "0", "nan", "inf"])
-    def test_malformed_deadline_is_a_400_on_export_urls(self, served, raw):
-        server, _, directory = served
-        manager, account = self._manager_and_account(directory)
-        status, _, body = request(
-            server, f"/api/v1/export/account_usage/{account}.csv",
-            username=manager, headers={"X-Request-Deadline-Ms": raw},
-        )
-        assert status == 400
-        payload = json.loads(body)
-        assert payload["ok"] is False
-        assert "X-Request-Deadline-Ms" in payload["error"]
-
-    def test_exhausted_deadline_is_a_504_with_retry_after(self, served):
-        server, dash, directory = served
-        manager, account = self._manager_and_account(directory)
-        plan = FaultPlan()
-        plan.schedule_slowdown("slurmdbd", extra_latency_s=5.0)
-        dash.inject_faults(plan)
-        status, headers, body = request(
-            server, f"/api/v1/export/account_usage/{account}.csv",
-            username=manager, headers={"X-Request-Deadline-Ms": "2000"},
-        )
-        assert status == 504
-        payload = json.loads(body)
-        assert payload["ok"] is False and "deadline" in payload["error"]
-        assert int(headers["Retry-After"]) >= 1
-
-    def test_generous_deadline_still_downloads(self, served):
-        server, _, directory = served
-        manager, account = self._manager_and_account(directory)
-        status, headers, body = request(
-            server, f"/api/v1/export/account_usage/{account}.csv",
-            username=manager, headers={"X-Request-Deadline-Ms": "30000"},
-        )
-        assert status == 200
-        assert "attachment" in headers["Content-Disposition"]
-        assert body.decode().splitlines()[0].startswith("account,user,")
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,12 @@ from repro.web.server import ParamError, coerce_params, positive_int_param
 class TestCoerceParams:
     def test_basic_types(self):
         out = coerce_params(
-            [("a", "1"), ("b", "2.5"), ("c", "true"), ("d", "False"), ("e", "text")]
+            [("a", "1"), ("b", "2.5"), ("c", "true"), ("d", "False"), ("e", "text"),
+             ("search", "007")]
         )
-        assert out == {"a": 1, "b": 2.5, "c": True, "d": False, "e": "text"}
+        assert out == {
+            "a": 1, "b": 2.5, "c": True, "d": False, "e": "text", "search": "007",
+        }
         assert isinstance(out["a"], int)
 
     @pytest.mark.parametrize(

@@ -95,9 +95,10 @@ which layers four defences in front of the simulated daemons:
 1. **Per-source timeouts** — `CachePolicy.timeout_for(source)` bounds how
    long one fetch may spend in daemon RPCs; beyond it the attempt fails
    with `DaemonTimeoutError`.
-2. **Bounded retries** — up to `RetryPolicy.max_attempts` tries with
-   exponential backoff and deterministic jitter drawn from the seeded
-   `repro.sim.rng` streams, so chaos runs replay exactly.
+2. **Bounded retries** — up to `RetryPolicy.max_attempts` tries, back
+   to back: daemon latency is simulated and request handling never
+   advances the sim clock, so a delay between tries would change
+   nothing the daemons see.
 3. **A per-daemon circuit breaker** — after
    `BreakerConfig.failure_threshold` consecutive failures the breaker
    opens and fetches fail fast (`CircuitOpenError`) until
@@ -203,36 +204,27 @@ Resilience (above) protects individual fetches; the admission layer in
 `repro.faults.admission` bounds what the dashboard accepts *in total*
 when the daemons are struggling:
 
-1. **Deadlines** — every route call carries a `Deadline`: the per-route
-   default from `CachePolicy.deadline_for(route)` (override with
-   `deadlines_s`, cap with `deadline_max_s`), or the client's
-   `X-Request-Deadline-Ms` request header (malformed values are a
-   structured `400`; the budget is clamped to `deadline_max_s`). The
-   budget is charged with wall time plus every simulated cost — RPC
-   latency and backoff delays. The retry loop stops scheduling attempts
-   the moment the remaining budget cannot cover another timeout +
-   backoff, and single-flight followers never wait past the budget.
-   Exhaustion is a structured `504` with `retry_after_s` set — never a
-   hang, and never backoff the client would not live to see.
-2. **Brownout control** — an `AdmissionController` feedback loop scores
-   distress from breaker states (+2 open, +1 half-open) and the
-   aggregate route p95, then steps the dashboard
-   `normal → brownout → shed` one tier per evaluation (rate-limited on
-   sim time, with a `min_dwell_s` before stepping back down).
-   *Brownout* stretches every TTL by `brownout_ttl_multiplier` and
-   disables the expensive routes (`503` + `Retry-After`), with a
-   site-wide banner on the homepage. *Shed* rejects everything except
-   the essential routes — `/healthz`, `/metrics`, the homepage, and
-   My Jobs stay alive throughout.
+**Brownout control** — an `AdmissionController` feedback loop scores
+distress from breaker states (+2 open, +1 half-open) and the
+aggregate route p95, then steps the dashboard
+`normal → brownout → shed` one tier per evaluation (rate-limited on
+sim time, with a `min_dwell_s` before stepping back down).
+*Brownout* stretches every TTL by `brownout_ttl_multiplier` and
+disables the expensive routes (`503` + `Retry-After`), with a
+site-wide banner on the homepage. *Shed* rejects everything except
+the essential routes — `/healthz`, `/metrics`, the homepage, and
+My Jobs stay alive throughout.
 
 Rejections never count against the circuit breakers (they are not
-backend failures), and stale cache entries still rescue a request whose
-deadline ran out when one exists. `/healthz` reports the current tier
-and the signals behind it. The metric families:
+backend failures). `/healthz` reports the current tier and the signals
+behind it. A request carries no time budget: a fetch is bounded by its
+per-source timeout and retry count, and no route answers `504`. A
+client's `X-Request-Deadline-Ms` header is ignored like any other
+unknown header, whatever its value. The metric families:
 
 | family | labels | source |
 | --- | --- | --- |
-| `repro_admission_rejected_total` | `reason` (`deadline` / `brownout` / `shed`) | every admission rejection |
+| `repro_admission_rejected_total` | `reason` (`brownout` / `shed`) | every admission rejection |
 | `repro_brownout_tier` | — | current tier index (0/1/2, gauge) |
 | `repro_brownout_transitions_total` | `to` | tier transitions |
 
@@ -260,8 +252,7 @@ request path entirely:
    per-key single-flight map as miss coalescing, so a miss-leader and a
    refresh can never compute concurrently. The background refresh runs
    on the worker pool under the same breaker accounting as a
-   foreground fetch, but with its own short
-   `CachePolicy.refresh_deadline_s` budget (default 5 s). In steady
+   foreground fetch, but makes a single attempt, never a retry. In steady
    state a hot key costs **zero on-request RPCs**: users always read
    the cache, and the cache rewrites itself behind them.
 2. **Load-awareness** — arming is gated on the admission tier: outside

@@ -11,7 +11,7 @@ Reads Prometheus text exposition (a file, stdin, or a live scrape with
   served while one was in flight) plus worker-pool occupancy;
 * circuit-breaker states and transition counts;
 * the admission tier and its lifetime transitions, and admission
-  rejections by reason (deadline / brownout / shed);
+  rejections by reason (brownout / shed);
 * daemon RPC volume and failures.
 
 Run::
